@@ -1,0 +1,20 @@
+//! Records the compiler version and build profile, reported with every
+//! result.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={}", version.trim());
+    println!(
+        "cargo:rustc-env=PERFBENCH_PROFILE={}",
+        std::env::var("PROFILE").unwrap_or_else(|_| "unknown".into())
+    );
+    println!("cargo:rerun-if-changed=build.rs");
+}
