@@ -167,11 +167,13 @@ pub struct InternStats {
     pub misses: u64,
 }
 
-impl InternStats {
-    fn absorb(&mut self, other: InternStats) {
-        self.symbols += other.symbols;
-        self.hits += other.hits;
-        self.misses += other.misses;
+impl std::iter::Sum for InternStats {
+    fn sum<I: Iterator<Item = InternStats>>(iter: I) -> InternStats {
+        iter.fold(InternStats::default(), |total, s| InternStats {
+            symbols: total.symbols + s.symbols,
+            hits: total.hits + s.hits,
+            misses: total.misses + s.misses,
+        })
     }
 }
 
@@ -191,15 +193,11 @@ fn shard_snapshot(shard: &Shard) -> InternStats {
 /// Snapshot of the pool counters, rolled up across all shards.
 #[must_use]
 pub fn stats() -> InternStats {
-    let mut total = InternStats::default();
-    for shard in shards() {
-        total.absorb(shard_snapshot(shard));
-    }
-    total
+    shard_stats().into_iter().sum()
 }
 
-/// Per-shard counter snapshots, indexed by shard. The rollup of this
-/// vector equals [`stats`].
+/// Per-shard counter snapshots, indexed by shard. [`stats`] is the sum of
+/// one such read.
 #[must_use]
 pub fn shard_stats() -> Vec<InternStats> {
     shards().iter().map(shard_snapshot).collect()
@@ -254,13 +252,21 @@ mod tests {
     fn shard_stats_roll_up_to_totals() {
         intern("eve-intern-shard-rollup-a");
         intern("eve-intern-shard-rollup-b");
+        // One snapshot only: sibling tests intern concurrently, so two
+        // separate reads of the global counters may legitimately differ.
         let per_shard = shard_stats();
         assert_eq!(per_shard.len(), SHARDS);
-        let mut total = InternStats::default();
-        for s in &per_shard {
-            total.absorb(*s);
-        }
-        assert_eq!(total, stats());
+        let total: InternStats = per_shard.iter().copied().sum();
+        assert_eq!(
+            total,
+            InternStats {
+                symbols: per_shard.iter().map(|s| s.symbols).sum(),
+                hits: per_shard.iter().map(|s| s.hits).sum(),
+                misses: per_shard.iter().map(|s| s.misses).sum(),
+            }
+        );
+        assert!(per_shard[shard_of("eve-intern-shard-rollup-a")].symbols >= 1);
+        assert!(per_shard[shard_of("eve-intern-shard-rollup-b")].symbols >= 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use eve_relational::ExecOptions;
 use eve_sync::EvolutionOp;
-use eve_system::{DurableEngine, Shell};
+use eve_system::{Command, DurableEngine, Shell};
 
 use crate::{Error, Result};
 
@@ -229,28 +229,26 @@ impl Tenant {
     }
 
     /// Executes a mutation immediately (admission already decided),
-    /// charging its candidate and I/O cost to the budget.
+    /// charging its candidate and I/O cost to the budget. Both kinds are
+    /// billed by the same measurement around execution, so a `change`
+    /// statement spends candidates exactly like an `Apply` batch.
     fn run_now(&self, mutation: Mutation) -> Result<String> {
         let mut shell = self.shell.write().unwrap_or_else(|e| e.into_inner());
         let io_before = shell.engine().total_io();
-        let (output, candidates) = match mutation {
-            Mutation::Statement(line) => (shell.execute(&line)?, 0),
+        let candidates_before = shell.candidates_searched();
+        let output = match mutation {
+            Mutation::Statement(line) => shell.execute(&line)?,
             Mutation::Apply(ops) => {
-                let outcome = shell.durable_mut()?.apply_batch(ops)?;
-                let candidates: u64 = outcome
-                    .reports
-                    .iter()
-                    .map(|r| u64::try_from(r.candidates).unwrap_or(u64::MAX))
-                    .sum();
-                let text = format!(
+                let outcome = shell.apply(Command::Batch(ops))?.outcome;
+                format!(
                     "applied batch: {} traces, {} reports, {} candidates",
                     outcome.traces.len(),
                     outcome.reports.len(),
-                    candidates
-                );
-                (text, candidates)
+                    shell.candidates_searched() - candidates_before
+                )
             }
         };
+        let candidates = shell.candidates_searched() - candidates_before;
         let io_after = shell.engine().total_io();
         drop(shell);
         let mut st = lock(&self.state);
@@ -571,6 +569,42 @@ mod tests {
         assert_eq!(t.reset_budget().unwrap(), 0);
         t.execute_mutation(Mutation::Statement("update R insert (3, 'c')".into()))
             .unwrap();
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn change_statements_spend_the_candidate_budget() {
+        let root = scratch("candidates");
+        let wh = Warehouse::open(&root).unwrap();
+        let budget = TenantBudget {
+            candidates: 1,
+            ..TenantBudget::default()
+        };
+        let t = wh
+            .tenant_with("searcher", budget, AdmissionPolicy::Reject)
+            .unwrap();
+        for line in [
+            "site 1 s1",
+            "site 2 s2",
+            "relation R @1 (K:int)",
+            "relation S @2 (K:int)",
+            "insert R (1)",
+            "insert S (1)",
+            "pc R (K) = S (K)",
+            "view CREATE VIEW V (VE = '~') AS SELECT R.K FROM R (RR = true)",
+        ] {
+            t.execute_mutation(Mutation::Statement(line.into()))
+                .unwrap();
+        }
+        assert_eq!(t.stats().candidates_used, 0, "setup searches nothing");
+        // Deleting V's host searches the rewriting over S.
+        t.execute_mutation(Mutation::Statement("change delete-relation R".into()))
+            .unwrap();
+        assert!(t.stats().candidates_used >= 1, "{:?}", t.stats());
+        let err = t
+            .execute_mutation(Mutation::Statement("site 3 s3".into()))
+            .unwrap_err();
+        assert!(matches!(err, Error::BudgetExceeded { .. }), "{err:?}");
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -29,9 +29,9 @@
 //!   type (std-only; the build environment has no registry access).
 //!
 //! The crate is engine-agnostic by design: it plans recovery and travel
-//! (snapshot + records), while `eve-system`'s `DurableEngine` owns the
-//! replay through the live `apply_batch` pipeline — keeping the dependency
-//! arrow pointing from the runtime to the storage layer.
+//! (snapshot + records), while `eve-system` owns the replay: its engine
+//! applies a [`LogRecord`] directly, as its one mutation type — keeping
+//! the dependency arrow pointing from the runtime to the storage layer.
 
 pub mod checksum;
 pub mod codec;
@@ -47,8 +47,8 @@ pub use error::{Error, Result};
 pub use group::{CommitTicket, GroupCommitLog, GroupCommitPolicy};
 pub use log::{LogRecord, SealedRecord};
 pub use snapshot::{
-    DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHintState, IndexKindState,
-    SearchModeState, SiteSnapshot, ViewSnapshot,
+    DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHintState, SearchModeState,
+    SiteSnapshot, ViewSnapshot,
 };
 pub use store::{
     EvolutionStore, RecoveredLog, RecoveryOptions, SnapshotKind, SnapshotMeta, StoreStats,

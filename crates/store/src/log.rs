@@ -41,7 +41,9 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"EVESEG01";
 /// One durable operation of the evolution history. `Batch` carries the
 /// paper's evolution ops (data updates + capability changes); the other
 /// variants record the bootstrap/administrative mutations that precede
-/// them, so a store can replay from an empty engine.
+/// them, so a store can replay from an empty engine. `eve-system`
+/// re-exports this type as its `Command`: the engine applies exactly what
+/// the log records.
 #[derive(Debug, Clone)]
 pub enum LogRecord {
     /// `EveEngine::add_site`.

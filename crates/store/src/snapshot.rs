@@ -20,7 +20,7 @@ use std::path::Path;
 use eve_esql::ViewDef;
 use eve_misd::MkbState;
 use eve_qc::{QcParams, SelectionStrategy, WorkloadModel};
-use eve_relational::Relation;
+use eve_relational::{IndexKind, Relation};
 use eve_sync::SyncOptions;
 
 use crate::checksum::crc64;
@@ -74,18 +74,6 @@ pub enum SearchModeState {
     },
 }
 
-/// The physical shape of a declared secondary index — a plain-data mirror
-/// of `eve_relational::IndexKind` (which cannot live here without a
-/// dependency cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexKindState {
-    /// Hash index over interned/encoded keys (equality probes).
-    #[default]
-    Hash,
-    /// Value-ordered row index (range probes).
-    Sorted,
-}
-
 /// One declared secondary index: relation, column and physical shape.
 ///
 /// Only *declared* hints persist — lazily warmed index state is
@@ -98,7 +86,7 @@ pub struct IndexHintState {
     /// The indexed column's (bare) attribute name.
     pub column: String,
     /// Physical index shape.
-    pub kind: IndexKindState,
+    pub kind: IndexKind,
 }
 
 /// The engine's tunable configuration. Replay must run under the same
@@ -233,22 +221,20 @@ impl Codec for SearchModeState {
     }
 }
 
-impl Codec for IndexKindState {
+impl Codec for IndexKind {
     fn encode(&self, enc: &mut Enc) {
         match self {
-            IndexKindState::Hash => enc.u8(0),
-            IndexKindState::Sorted => enc.u8(1),
+            IndexKind::Hash => enc.u8(0),
+            IndexKind::Sorted => enc.u8(1),
         }
     }
 
-    fn decode(dec: &mut Dec<'_>) -> Result<IndexKindState> {
+    fn decode(dec: &mut Dec<'_>) -> Result<IndexKind> {
         Ok(match dec.u8()? {
-            0 => IndexKindState::Hash,
-            1 => IndexKindState::Sorted,
+            0 => IndexKind::Hash,
+            1 => IndexKind::Sorted,
             other => {
-                return Err(Error::corrupt(format!(
-                    "invalid IndexKindState tag {other}"
-                )));
+                return Err(Error::corrupt(format!("invalid IndexKind tag {other}")));
             }
         })
     }
@@ -265,7 +251,7 @@ impl Codec for IndexHintState {
         Ok(IndexHintState {
             relation: dec.str()?,
             column: dec.str()?,
-            kind: IndexKindState::decode(dec)?,
+            kind: IndexKind::decode(dec)?,
         })
     }
 }
@@ -990,7 +976,7 @@ mod tests {
                 index_hints: vec![IndexHintState {
                     relation: "R".into(),
                     column: "A".into(),
-                    kind: IndexKindState::Sorted,
+                    kind: IndexKind::Sorted,
                 }],
             },
         }

@@ -178,7 +178,11 @@ impl EveEngine {
         outcome.data_ops += op_refs.len();
         outcome.data_stages += 1;
         outcome.max_width = outcome.max_width.max(partitions.len());
-        eve_trace::global()
+        let registry = eve_trace::global();
+        registry
+            .counter("engine.data_updates")
+            .add(op_refs.len() as u64);
+        registry
             .counter("engine.batch_partitions")
             .add(partitions.len() as u64);
 

@@ -1,30 +1,44 @@
 //! The durable engine: an [`EveEngine`] whose evolution history survives
 //! crashes, backed by the `eve-store` write-ahead evolution log.
 //!
+//! ## One mutation path
+//!
+//! Every mutation is a [`Command`] — the store's `LogRecord`, re-exported
+//! unchanged — and reaches the log through one call,
+//! [`DurableEngine::apply`]: fail closed if poisoned, apply to the engine
+//! ([`EveEngine::apply`]), then log the same record. There is no
+//! per-mutation wrapper, so what recovery replays is by construction what
+//! the live engine applied.
+//!
 //! ## Durability contract
 //!
-//! Every mutating call on [`DurableEngine`] first applies to the in-memory
-//! engine, then enqueues one log record on the store's **group-commit
-//! writer** and waits on its commit ticket — the ticket resolves only
-//! after the batch containing the record is `fsync`'d, so when a call
-//! returns `Ok`, the operation is on disk and recovery will reproduce it.
-//! A crash between apply and commit loses at most the in-flight call
-//! (which was never acknowledged); a crash mid-append leaves a torn frame
-//! the next [`DurableEngine::open`] truncates. The group-commit queue is
-//! what lets many concurrent appenders (e.g. the throughput benches
-//! driving [`eve_store::GroupCommitLog`] directly) share one fsync per
-//! batch instead of paying one each.
+//! [`DurableEngine::apply`] enqueues the record on the store's
+//! **group-commit writer** and waits on its commit ticket — the ticket
+//! resolves only after the batch containing the record is `fsync`'d, so
+//! when the call returns `Ok`, the operation is on disk and recovery will
+//! reproduce it. A crash between apply and commit loses at most the
+//! in-flight call (which was never acknowledged); a crash mid-append
+//! leaves a torn frame the next [`DurableEngine::open`] truncates. The
+//! group-commit queue is what lets many concurrent appenders (e.g. the
+//! throughput benches driving [`eve_store::GroupCommitLog`] directly)
+//! share one fsync per batch instead of paying one each.
+//!
+//! A failure that leaves the log behind the engine (a batch rejected
+//! partway, a failed append) is re-anchored with a full snapshot. If that
+//! snapshot fails too, the host is *poisoned*: [`DurableEngine::apply`],
+//! [`DurableEngine::rebalance_views`] and [`DurableEngine::compact`] fail
+//! closed until a successful [`DurableEngine::checkpoint`].
 //!
 //! ## Recovery
 //!
 //! [`DurableEngine::open`] loads the newest intact snapshot, rebuilds the
-//! engine from it, and replays the log tail through the *live* pipeline —
-//! the same [`EveEngine::apply_batch`] path the records originally took.
-//! Since application is deterministic under a fixed configuration (the
-//! configuration is part of every snapshot), the recovered engine is
-//! byte-identical — MKB generation, site extents and counters, installed
-//! rewritings — to the engine that never crashed. The differential suite
-//! in `tests/durability.rs` pins exactly that across random op streams and
+//! engine from it, and replays the log tail through [`EveEngine::apply`]
+//! — the same call the records originally took. Since application is
+//! deterministic under a fixed configuration (the configuration is part
+//! of every snapshot), the recovered engine is byte-identical — MKB
+//! generation, site extents and counters, installed rewritings — to the
+//! engine that never crashed. The differential suite in
+//! `tests/durability.rs` pins exactly that across random op streams and
 //! random crash points.
 //!
 //! ## Time travel
@@ -39,18 +53,17 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use eve_misd::{JoinConstraint, Mkb, PcConstraint, RelationInfo, SchemaChange, SiteId};
-use eve_relational::{IndexKind, Relation, Tuple};
+use eve_misd::{Mkb, SiteId};
 use eve_store::{
     DeltaSnapshot, EngineConfig, EngineSnapshot, EvolutionStore, GroupCommitLog, GroupCommitPolicy,
-    LogRecord, RecoveredLog, SearchModeState, SiteSnapshot, SnapshotMeta, StoreStats, ViewSnapshot,
+    RecoveredLog, SearchModeState, SiteSnapshot, SnapshotMeta, StoreStats, ViewSnapshot,
 };
 use eve_sync::EvolutionOp;
 
-use crate::engine::{BatchOutcome, EveEngine, EvolutionReport, MaterializedView, SearchMode};
+use crate::engine::{Applied, BatchOutcome, EveEngine, MaterializedView, SearchMode};
 use crate::error::{Error, Result};
-use crate::maintainer::{DataUpdate, MaintenanceTrace};
 use crate::site::SimSite;
+use crate::Command;
 
 impl From<eve_store::Error> for Error {
     fn from(e: eve_store::Error) -> Error {
@@ -86,10 +99,10 @@ pub struct RecoveryReport {
     pub generation: u64,
 }
 
-/// An engine plus its evolution store. All mutations must flow through
-/// this wrapper to be durable; [`DurableEngine::engine_mut`] exists for
-/// read-mostly tweaks but anything reaching state the snapshot covers
-/// should be followed by [`DurableEngine::checkpoint`].
+/// An engine plus its evolution store. Mutations must flow through
+/// [`DurableEngine::apply`] to be durable; [`DurableEngine::engine_mut`]
+/// exists for read-mostly tweaks but anything reaching state the snapshot
+/// covers should be followed by [`DurableEngine::checkpoint`].
 #[derive(Debug)]
 pub struct DurableEngine {
     engine: EveEngine,
@@ -144,17 +157,33 @@ impl DurableEngine {
         let mut store = EvolutionStore::create(&dir)?;
         let snapshot = engine.snapshot_state();
         let seq = store.write_snapshot(&snapshot)?;
-        Ok(DurableEngine {
+        Ok(DurableEngine::over(
+            engine,
+            store,
+            dir,
+            Some((seq, snapshot)),
+        ))
+    }
+
+    /// A live handle over an opened store whose newest snapshot (if any)
+    /// is `last_snapshot`.
+    fn over(
+        engine: EveEngine,
+        store: EvolutionStore,
+        dir: PathBuf,
+        last_snapshot: Option<(u64, EngineSnapshot)>,
+    ) -> DurableEngine {
+        DurableEngine {
             engine,
             log: GroupCommitLog::new(store, GroupCommitPolicy::default()),
             dir,
             snapshot_every: None,
             delta_checkpoints: true,
             batches_since_snapshot: 0,
-            last_snapshot: Some((seq, snapshot)),
+            last_snapshot,
             deltas_since_full: 0,
             poisoned: None,
-        })
+        }
     }
 
     /// Opens an existing store at `dir`, recovering the engine from the
@@ -185,7 +214,7 @@ impl DurableEngine {
         };
         let replayed_records = tail.len() as u64;
         for sealed in tail {
-            apply_record(&mut engine, sealed.record)?;
+            engine.apply(&sealed.record)?;
         }
         let report = RecoveryReport {
             snapshot_seq,
@@ -196,17 +225,7 @@ impl DurableEngine {
             generation: engine.mkb().generation(),
         };
         Ok((
-            DurableEngine {
-                engine,
-                log: GroupCommitLog::new(store, GroupCommitPolicy::default()),
-                dir,
-                snapshot_every: None,
-                delta_checkpoints: true,
-                batches_since_snapshot: 0,
-                last_snapshot,
-                deltas_since_full: 0,
-                poisoned: None,
-            },
+            DurableEngine::over(engine, store, dir, last_snapshot),
             report,
         ))
     }
@@ -228,7 +247,7 @@ impl DurableEngine {
         let (snapshot, records) = EvolutionStore::plan_travel_in(dir.as_ref(), generation)?;
         let mut engine = EveEngine::from_snapshot_state(&snapshot)?;
         for sealed in records {
-            apply_record(&mut engine, sealed.record)?;
+            engine.apply(&sealed.record)?;
         }
         Ok(engine)
     }
@@ -239,9 +258,9 @@ impl DurableEngine {
         &self.engine
     }
 
-    /// Mutable engine access. Mutations made here bypass the log — use the
-    /// durable wrappers for anything recovery must reproduce, or follow up
-    /// with [`DurableEngine::checkpoint`].
+    /// Mutable engine access. Mutations made here bypass the log — use
+    /// [`DurableEngine::apply`] for anything recovery must reproduce, or
+    /// follow up with [`DurableEngine::checkpoint`].
     pub fn engine_mut(&mut self) -> &mut EveEngine {
         &mut self.engine
     }
@@ -345,12 +364,14 @@ impl DurableEngine {
 
     /// Drops history before the newest snapshot, bounding disk use and
     /// recovery replay at the price of the time-travel horizon. Returns
-    /// `(segments_deleted, snapshots_deleted)`.
+    /// `(segments_deleted, snapshots_deleted)`. Refused while poisoned:
+    /// the newest snapshot may then be older than the live engine.
     ///
     /// # Errors
     ///
-    /// Store failures.
+    /// Store failures, or [`Error::Poisoned`].
     pub fn compact(&mut self) -> Result<(usize, usize)> {
+        self.ensure_live()?;
         Ok(self.log.with_store(|s| s.compact())?)
     }
 
@@ -361,12 +382,6 @@ impl DurableEngine {
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.is_some()
-    }
-
-    /// The double-failure message that poisoned the host, if any.
-    #[must_use]
-    pub fn poison_detail(&self) -> Option<&str> {
-        self.poisoned.as_deref()
     }
 
     /// Records the double failure and returns the typed error surfaced to
@@ -388,256 +403,89 @@ impl DurableEngine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Durable mutation wrappers (engine first, then the fsync'd record)
-    // ------------------------------------------------------------------
-
-    /// Appends the record for a mutation the engine has already applied:
-    /// enqueue on the group-commit writer, then block on the commit ticket
-    /// until the record's batch is fsync'd. If the commit fails, the live
-    /// engine is ahead of the log; a snapshot re-anchors durability on the
-    /// actual state (the same remedy as a failed batch) before the error
-    /// is surfaced — without it, later successful appends would replay on
-    /// top of a log missing this record and recovery would silently
-    /// diverge.
-    fn log(&mut self, record: LogRecord) -> Result<()> {
-        match self
-            .log
-            .append_durable(self.engine.mkb().generation(), record)
-        {
-            Ok(_) => Ok(()),
-            Err(append_err) => match self.checkpoint() {
-                Ok(_) => Err(append_err.into()),
-                Err(anchor_err) => Err(self.poison(format!(
-                    "log append failed ({append_err}) and the re-anchoring snapshot \
-                     also failed ({anchor_err}): the store is behind the live engine"
-                ))),
-            },
+    /// Re-anchors durability after `failure` left the log behind the live
+    /// engine: a full snapshot records the actual state, so recovery lands
+    /// exactly here and later appends never replay on top of a log missing
+    /// a mutation. If the snapshot fails too, the host is poisoned.
+    fn reanchor(&mut self, what: &str, failure: Error) -> Error {
+        match self.checkpoint() {
+            Ok(_) => failure,
+            Err(anchor_err) => self.poison(format!(
+                "{what} failed ({failure}) and the re-anchoring snapshot also \
+                 failed ({anchor_err}): the store is behind the live engine"
+            )),
         }
     }
 
-    /// Durable [`EveEngine::add_site`].
+    /// Applies one [`Command`] durably — the only way a mutation reaches
+    /// the log:
+    ///
+    /// 1. fail closed when the host is poisoned (the engine is not touched);
+    /// 2. apply it to the engine ([`EveEngine::apply`]);
+    /// 3. if the state changed, enqueue the record on the group-commit
+    ///    writer and block on its ticket until the record's batch is
+    ///    fsync'd (a view is logged as the engine validated it);
+    /// 4. after a batch, take the automatic checkpoint `snapshot_every`
+    ///    asks for.
+    ///
+    /// A batch the engine rejects partway (independent partitions may
+    /// already have applied) is not logged; a snapshot re-anchors
+    /// durability on the actual state instead. Every other command fails
+    /// without touching the engine, so it needs no re-anchor.
     ///
     /// # Errors
     ///
-    /// Engine or store failures.
-    pub fn add_site(&mut self, id: SiteId, name: impl Into<String>) -> Result<()> {
+    /// Engine failures (after the re-anchoring snapshot, for a batch),
+    /// store failures, or [`Error::Poisoned`].
+    pub fn apply(&mut self, command: Command) -> Result<Applied> {
         self.ensure_live()?;
-        let name = name.into();
-        self.engine.add_site(id, name.clone())?;
-        self.log(LogRecord::AddSite { id: id.0, name })
-    }
-
-    /// Durable [`EveEngine::register_relation`].
-    ///
-    /// # Errors
-    ///
-    /// Engine or store failures.
-    pub fn register_relation(&mut self, info: RelationInfo, extent: Relation) -> Result<()> {
-        self.ensure_live()?;
-        self.engine
-            .register_relation(info.clone(), extent.clone())?;
-        self.log(LogRecord::RegisterRelation { info, extent })
-    }
-
-    /// Durable base-data seeding (no view maintenance — initial loading).
-    ///
-    /// # Errors
-    ///
-    /// Engine or store failures.
-    pub fn seed_tuples(&mut self, relation: &str, tuples: Vec<Tuple>) -> Result<()> {
-        self.ensure_live()?;
-        let info = self.engine.mkb().relation(relation)?;
-        let site_id = info.site.0;
-        self.engine
-            .sites_mut()
-            .get_mut(&site_id)
-            .ok_or_else(|| Error::State {
-                detail: format!("unknown site {site_id}"),
-            })?
-            .apply_update(relation, &tuples, &[])?;
-        self.log(LogRecord::SeedTuples {
-            relation: relation.to_owned(),
-            tuples,
-        })
-    }
-
-    /// Durable [`Mkb::add_pc_constraint`].
-    ///
-    /// # Errors
-    ///
-    /// Engine or store failures.
-    pub fn add_pc_constraint(&mut self, pc: PcConstraint) -> Result<()> {
-        self.ensure_live()?;
-        self.engine
-            .mkb_mut()
-            .add_pc_constraint(pc.clone())
-            .map_err(Error::from)?;
-        self.log(LogRecord::AddPcConstraint(pc))
-    }
-
-    /// Durable [`Mkb::add_join_constraint`].
-    ///
-    /// # Errors
-    ///
-    /// Engine or store failures.
-    pub fn add_join_constraint(&mut self, jc: JoinConstraint) -> Result<()> {
-        self.ensure_live()?;
-        self.engine
-            .mkb_mut()
-            .add_join_constraint(jc.clone())
-            .map_err(Error::from)?;
-        self.log(LogRecord::AddJoinConstraint(jc))
-    }
-
-    /// Durable [`Mkb::set_join_selectivity`].
-    ///
-    /// # Errors
-    ///
-    /// Store failures.
-    pub fn set_join_selectivity(&mut self, a: &str, b: &str, js: f64) -> Result<()> {
-        self.ensure_live()?;
-        self.engine.mkb_mut().set_join_selectivity(a, b, js);
-        self.log(LogRecord::SetJoinSelectivity {
-            left: a.to_owned(),
-            right: b.to_owned(),
-            js,
-        })
-    }
-
-    /// Durable [`Mkb::set_default_join_selectivity`].
-    ///
-    /// # Errors
-    ///
-    /// Store failures.
-    pub fn set_default_join_selectivity(&mut self, js: f64) -> Result<()> {
-        self.ensure_live()?;
-        self.engine.mkb_mut().set_default_join_selectivity(js);
-        self.log(LogRecord::SetDefaultJoinSelectivity { js })
-    }
-
-    /// Durable [`EveEngine::declare_index`]. Only *new* declarations are
-    /// logged — re-declaring an existing hint re-warms the index without
-    /// touching the log.
-    ///
-    /// # Errors
-    ///
-    /// Engine or store failures.
-    pub fn declare_index(&mut self, relation: &str, column: &str, kind: IndexKind) -> Result<bool> {
-        self.ensure_live()?;
-        let added = self.engine.declare_index(relation, column, kind)?;
-        if added {
-            let hint = self
-                .engine
-                .index_hints()
-                .last()
-                .expect("declare_index just pushed a hint");
-            self.log(LogRecord::DeclareIndex(hint_to_state(hint)))?;
+        let is_batch = matches!(command, Command::Batch(_));
+        let applied = match self.engine.apply(&command) {
+            Ok(applied) => applied,
+            Err(e) if is_batch => return Err(self.reanchor("batch", e)),
+            Err(e) => return Err(e),
+        };
+        if applied.changed {
+            let record = match command {
+                Command::DefineView(def) => {
+                    let stored = self
+                        .engine
+                        .view(&def.name)
+                        .expect("a defined view is stored under its name");
+                    Command::DefineView(stored.def.clone())
+                }
+                other => other,
+            };
+            if let Err(append_err) = self
+                .log
+                .append_durable(self.engine.mkb().generation(), record)
+            {
+                return Err(self.reanchor("log append", append_err.into()));
+            }
         }
-        Ok(added)
-    }
-
-    /// Durable [`EveEngine::define_view_sql`].
-    ///
-    /// # Errors
-    ///
-    /// Engine or store failures.
-    pub fn define_view_sql(&mut self, sql: &str) -> Result<&MaterializedView> {
-        self.ensure_live()?;
-        let def = self.engine.define_view_sql(sql)?.def.clone();
-        let name = def.name.clone();
-        self.log(LogRecord::DefineView(def))?;
-        self.engine.view(&name)
-    }
-
-    /// Durable [`EveEngine::drop_view`].
-    ///
-    /// # Errors
-    ///
-    /// Engine or store failures.
-    pub fn drop_view(&mut self, name: &str) -> Result<MaterializedView> {
-        self.ensure_live()?;
-        let dropped = self.engine.drop_view(name)?;
-        self.log(LogRecord::DropView {
-            name: name.to_owned(),
-        })?;
-        Ok(dropped)
-    }
-
-    /// Durable [`EveEngine::apply_batch`] — the log unit of the evolution
-    /// stream. On success the whole batch is one fsync'd record; if the
-    /// engine rejects the batch partway (independent partitions may already
-    /// have applied), an immediate snapshot re-anchors durability on the
-    /// actual state instead of logging a record that only partially
-    /// applied.
-    ///
-    /// # Errors
-    ///
-    /// Engine failures (after the re-anchoring snapshot) or store
-    /// failures.
-    pub fn apply_batch(&mut self, ops: Vec<EvolutionOp>) -> Result<BatchOutcome> {
-        self.ensure_live()?;
-        match self.engine.apply_batch(ops.clone()) {
-            Ok(outcome) => {
-                self.log(LogRecord::Batch(ops))?;
-                self.batches_since_snapshot += 1;
-                if let Some(k) = self.snapshot_every {
-                    if self.batches_since_snapshot >= k.max(1) {
-                        if self.delta_checkpoints {
-                            self.checkpoint_delta()?;
-                        } else {
-                            self.checkpoint()?;
-                        }
+        if is_batch {
+            self.batches_since_snapshot += 1;
+            if let Some(k) = self.snapshot_every {
+                if self.batches_since_snapshot >= k.max(1) {
+                    if self.delta_checkpoints {
+                        self.checkpoint_delta()?;
+                    } else {
+                        self.checkpoint()?;
                     }
                 }
-                Ok(outcome)
-            }
-            Err(e) => {
-                // The batch failed mid-flight; the engine is whole but not
-                // necessarily the pre-batch state. Snapshot it so recovery
-                // lands exactly here. If even that fails, say so loudly —
-                // the store is now behind the live engine.
-                match self.checkpoint() {
-                    Ok(_) => Err(e),
-                    Err(anchor_err) => Err(self.poison(format!(
-                        "batch failed ({e}) and the re-anchoring snapshot also \
-                         failed ({anchor_err}): the store is behind the live engine"
-                    ))),
-                }
             }
         }
+        Ok(applied)
     }
 
-    /// Durable [`EveEngine::notify_data_update`] (single-op batch).
+    /// [`DurableEngine::apply`] of one [`Command::Batch`] — the log unit of
+    /// the evolution stream.
     ///
     /// # Errors
     ///
-    /// Engine or store failures.
-    pub fn notify_data_update(
-        &mut self,
-        update: &DataUpdate,
-    ) -> Result<BTreeMap<String, MaintenanceTrace>> {
-        Ok(self
-            .apply_batch(vec![EvolutionOp::from(update.clone())])?
-            .traces)
-    }
-
-    /// Durable [`EveEngine::notify_capability_change`] (single-op batch).
-    ///
-    /// # Errors
-    ///
-    /// Engine or store failures.
-    pub fn notify_capability_change(
-        &mut self,
-        change: &SchemaChange,
-        new_extent: Option<Relation>,
-    ) -> Result<Vec<EvolutionReport>> {
-        Ok(self
-            .apply_batch(vec![EvolutionOp::Capability {
-                change: change.clone(),
-                new_extent,
-            }])?
-            .reports)
+    /// As for [`DurableEngine::apply`].
+    pub fn apply_batch(&mut self, ops: Vec<EvolutionOp>) -> Result<BatchOutcome> {
+        Ok(self.apply(Command::Batch(ops))?.outcome)
     }
 
     /// Durable [`EveEngine::rebalance_views`]: migrations mutate installed
@@ -646,7 +494,7 @@ impl DurableEngine {
     ///
     /// # Errors
     ///
-    /// Engine or store failures.
+    /// Engine or store failures, or [`Error::Poisoned`].
     pub fn rebalance_views(&mut self) -> Result<Vec<crate::engine::MigrationReport>> {
         self.ensure_live()?;
         let reports = self.engine.rebalance_views()?;
@@ -654,49 +502,6 @@ impl DurableEngine {
             self.checkpoint()?;
         }
         Ok(reports)
-    }
-}
-
-/// Replays one log record through the live engine pipeline.
-fn apply_record(engine: &mut EveEngine, record: LogRecord) -> Result<()> {
-    match record {
-        LogRecord::AddSite { id, name } => engine.add_site(SiteId(id), name),
-        LogRecord::RegisterRelation { info, extent } => engine.register_relation(info, extent),
-        LogRecord::SeedTuples { relation, tuples } => {
-            let info = engine.mkb().relation(&relation)?;
-            let site_id = info.site.0;
-            engine
-                .sites_mut()
-                .get_mut(&site_id)
-                .ok_or_else(|| Error::State {
-                    detail: format!("unknown site {site_id}"),
-                })?
-                .apply_update(&relation, &tuples, &[])
-        }
-        LogRecord::AddPcConstraint(pc) => {
-            engine.mkb_mut().add_pc_constraint(pc).map_err(Error::from)
-        }
-        LogRecord::AddJoinConstraint(jc) => engine
-            .mkb_mut()
-            .add_join_constraint(jc)
-            .map_err(Error::from),
-        LogRecord::SetJoinSelectivity { left, right, js } => {
-            engine.mkb_mut().set_join_selectivity(&left, &right, js);
-            Ok(())
-        }
-        LogRecord::SetDefaultJoinSelectivity { js } => {
-            engine.mkb_mut().set_default_join_selectivity(js);
-            Ok(())
-        }
-        LogRecord::DefineView(def) => engine.define_view(def).map(|_| ()),
-        LogRecord::DropView { name } => engine.drop_view(&name).map(|_| ()),
-        LogRecord::Batch(ops) => engine.apply_batch(ops).map(|_| ()),
-        LogRecord::DeclareIndex(hint) => {
-            let hint = hint_from_state(&hint);
-            engine
-                .declare_index(&hint.relation, &hint.column, hint.kind)
-                .map(|_| ())
-        }
     }
 }
 
@@ -766,7 +571,7 @@ impl EveEngine {
                 workload: self.workload,
                 strategy: self.strategy,
                 search: self.search.into(),
-                index_hints: self.index_hints.iter().map(hint_to_state).collect(),
+                index_hints: self.index_hints.clone(),
             },
         }
     }
@@ -805,12 +610,7 @@ impl EveEngine {
             mkb,
             sites,
             views,
-            index_hints: snapshot
-                .config
-                .index_hints
-                .iter()
-                .map(hint_from_state)
-                .collect(),
+            index_hints: snapshot.config.index_hints.clone(),
             rewrite_cache: eve_sync::RewriteCache::new(),
             sync_options: snapshot.config.sync_options.clone(),
             qc_params: snapshot.config.qc_params.clone(),
@@ -828,35 +628,14 @@ impl EveEngine {
     }
 }
 
-/// `IndexHint` → its plain-data snapshot form.
-fn hint_to_state(hint: &crate::engine::IndexHint) -> eve_store::IndexHintState {
-    eve_store::IndexHintState {
-        relation: hint.relation.clone(),
-        column: hint.column.clone(),
-        kind: match hint.kind {
-            IndexKind::Hash => eve_store::IndexKindState::Hash,
-            IndexKind::Sorted => eve_store::IndexKindState::Sorted,
-        },
-    }
-}
-
-/// Snapshot form → `IndexHint`.
-fn hint_from_state(state: &eve_store::IndexHintState) -> crate::engine::IndexHint {
-    crate::engine::IndexHint {
-        relation: state.relation.clone(),
-        column: state.column.clone(),
-        kind: match state.kind {
-            eve_store::IndexKindState::Hash => IndexKind::Hash,
-            eve_store::IndexKindState::Sorted => IndexKind::Sorted,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eve_misd::{AttributeInfo, PcRelationship, PcSide};
-    use eve_relational::{tup, DataType, Schema};
+    use crate::engine::IndexHint;
+    use eve_misd::{
+        AttributeInfo, PcConstraint, PcRelationship, PcSide, RelationInfo, SchemaChange,
+    };
+    use eve_relational::{tup, DataType, IndexKind, Relation, Schema};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -885,30 +664,56 @@ mod tests {
     /// Builds a small durable warehouse entirely through logged calls.
     fn build(dir: &Path) -> DurableEngine {
         let mut d = DurableEngine::create(dir).unwrap();
-        d.add_site(SiteId(1), "one").unwrap();
-        d.add_site(SiteId(2), "two").unwrap();
-        for (name, site) in [("Ra", 1u32), ("Rb", 1), ("Rc", 2)] {
-            d.register_relation(
-                RelationInfo::new(name, SiteId(site), attrs(), 10),
-                Relation::empty(name, schema()),
-            )
+        for (id, name) in [(1, "one"), (2, "two")] {
+            d.apply(Command::AddSite {
+                id,
+                name: name.into(),
+            })
             .unwrap();
-            d.seed_tuples(name, (0..10i64).map(|k| tup![k, k % 3]).collect())
-                .unwrap();
         }
-        d.add_pc_constraint(PcConstraint::new(
+        for (name, site) in [("Ra", 1u32), ("Rb", 1), ("Rc", 2)] {
+            d.apply(Command::RegisterRelation {
+                info: RelationInfo::new(name, SiteId(site), attrs(), 10),
+                extent: Relation::empty(name, schema()),
+            })
+            .unwrap();
+            d.apply(Command::SeedTuples {
+                relation: name.into(),
+                tuples: (0..10i64).map(|k| tup![k, k % 3]).collect(),
+            })
+            .unwrap();
+        }
+        d.apply(Command::AddPcConstraint(PcConstraint::new(
             PcSide::projection("Rb", &["K", "P"]),
             PcRelationship::Equivalent,
             PcSide::projection("Rc", &["K", "P"]),
+        )))
+        .unwrap();
+        d.apply(Command::SetJoinSelectivity {
+            left: "Ra".into(),
+            right: "Rb".into(),
+            js: 0.01,
+        })
+        .unwrap();
+        d.apply(Command::DefineView(
+            eve_esql::parse_view(
+                "CREATE VIEW V (VE = '~') AS SELECT A.K, B.P AS BP \
+                 FROM Ra A, Rb B (RR = true) WHERE A.K = B.K",
+            )
+            .unwrap(),
         ))
         .unwrap();
-        d.set_join_selectivity("Ra", "Rb", 0.01).unwrap();
-        d.define_view_sql(
-            "CREATE VIEW V (VE = '~') AS SELECT A.K, B.P AS BP \
-             FROM Ra A, Rb B (RR = true) WHERE A.K = B.K",
-        )
-        .unwrap();
         d
+    }
+
+    /// The single-op batch deleting `relation` at its source.
+    fn delete_relation(relation: &str) -> Vec<EvolutionOp> {
+        vec![EvolutionOp::Capability {
+            change: SchemaChange::DeleteRelation {
+                relation: relation.into(),
+            },
+            new_extent: None,
+        }]
     }
 
     fn fingerprint(engine: &EveEngine) -> Vec<u8> {
@@ -938,13 +743,7 @@ mod tests {
             EvolutionOp::insert("Rb", vec![tup![100, 2]]),
         ])
         .unwrap();
-        d.notify_capability_change(
-            &SchemaChange::DeleteRelation {
-                relation: "Rb".into(),
-            },
-            None,
-        )
-        .unwrap();
+        d.apply_batch(delete_relation("Rb")).unwrap();
         let expected = fingerprint(d.engine());
         drop(d); // crash: no shutdown handshake
 
@@ -1043,13 +842,7 @@ mod tests {
         assert_eq!(d.engine().mkb().generation(), g0);
         let fp_data = fingerprint(d.engine());
         // …a capability change does.
-        d.notify_capability_change(
-            &SchemaChange::DeleteRelation {
-                relation: "Rb".into(),
-            },
-            None,
-        )
-        .unwrap();
+        d.apply_batch(delete_relation("Rb")).unwrap();
         let g1 = d.engine().mkb().generation();
         let fp1 = fingerprint(d.engine());
         assert!(g1 > g0);
@@ -1087,13 +880,7 @@ mod tests {
         let dir = temp_dir("compact");
         let mut d = build(&dir);
         let g0 = d.engine().mkb().generation();
-        d.notify_capability_change(
-            &SchemaChange::DeleteRelation {
-                relation: "Rb".into(),
-            },
-            None,
-        )
-        .unwrap();
+        d.apply_batch(delete_relation("Rb")).unwrap();
         d.checkpoint().unwrap();
         let (segs, snaps) = d.compact().unwrap();
         assert!(segs >= 1 && snaps >= 1);
@@ -1113,8 +900,9 @@ mod tests {
     fn drop_view_and_selectivities_replay() {
         let dir = temp_dir("dropview");
         let mut d = build(&dir);
-        d.set_default_join_selectivity(0.02).unwrap();
-        d.drop_view("V").unwrap();
+        d.apply(Command::SetDefaultJoinSelectivity { js: 0.02 })
+            .unwrap();
+        d.apply(Command::DropView { name: "V".into() }).unwrap();
         let expected = fingerprint(d.engine());
         drop(d);
         let (recovered, _) = DurableEngine::open(&dir).unwrap();
@@ -1154,13 +942,7 @@ mod tests {
         let dir = temp_dir("live-travel");
         let mut d = build(&dir);
         let g0 = d.engine().mkb().generation();
-        d.notify_capability_change(
-            &SchemaChange::DeleteRelation {
-                relation: "Rb".into(),
-            },
-            None,
-        )
-        .unwrap();
+        d.apply_batch(delete_relation("Rb")).unwrap();
         // Historical reads go through the read-only travel planner and
         // succeed while the live handle holds the single-opener lock…
         let past = DurableEngine::open_at(&dir, g0).unwrap();
@@ -1198,12 +980,27 @@ mod tests {
     fn declared_indexes_survive_log_replay_and_snapshots() {
         let dir = temp_dir("index-hints");
         let mut d = build(&dir);
-        assert!(d.declare_index("Ra", "K", IndexKind::Hash).unwrap());
+        let declare = |relation: &str, column: &str, kind| {
+            Command::DeclareIndex(IndexHint {
+                relation: relation.into(),
+                column: column.into(),
+                kind,
+            })
+        };
         assert!(
-            !d.declare_index("Ra", "K", IndexKind::Hash).unwrap(),
+            d.apply(declare("Ra", "K", IndexKind::Hash))
+                .unwrap()
+                .changed
+        );
+        let seq = d.next_seq();
+        assert!(
+            !d.apply(declare("Ra", "K", IndexKind::Hash))
+                .unwrap()
+                .changed,
             "duplicate declaration is not re-logged"
         );
-        d.declare_index("Rb", "P", IndexKind::Sorted).unwrap();
+        assert_eq!(d.next_seq(), seq, "nothing was appended");
+        d.apply(declare("Rb", "P", IndexKind::Sorted)).unwrap();
         let expected = fingerprint(d.engine());
         drop(d);
 

@@ -15,7 +15,9 @@ use eve_qc::{
     plans_for_view, rank_rewritings, workload, QcParams, ScoredRewriting, SelectionStrategy,
     WorkloadModel,
 };
-use eve_relational::{ExecOptions, ExecStats, IndexKind, IndexStats, InternStats, Relation, Value};
+use eve_relational::{
+    ExecOptions, ExecStats, IndexKind, IndexStats, InternStats, Relation, Tuple, Value,
+};
 use eve_sync::{
     synchronize, EvolutionOp, HeuristicOptions, RewriteCache, SyncOptions, SyncOutcome,
 };
@@ -23,6 +25,7 @@ use eve_sync::{
 use crate::error::{Error, Result};
 use crate::maintainer::{maintain_view, DataUpdate, MaintenanceTrace};
 use crate::site::SimSite;
+use crate::Command;
 
 /// A materialized view: definition + warehouse extent.
 #[derive(Debug, Clone)]
@@ -56,6 +59,17 @@ pub struct BatchOutcome {
     pub rewrite_hits: u64,
     /// Rewriting-cache misses during this batch.
     pub rewrite_misses: u64,
+}
+
+/// What one [`EveEngine::apply`] did.
+#[derive(Debug, Clone)]
+pub struct Applied {
+    /// Whether the command changed the engine state. Only re-declaring an
+    /// index hint already on file leaves it unchanged (the index is still
+    /// re-warmed); such a command is not logged.
+    pub changed: bool,
+    /// The outcome of a [`Command::Batch`]; empty for every other command.
+    pub outcome: BatchOutcome,
 }
 
 /// Outcome of a capability change for one view.
@@ -96,17 +110,9 @@ pub enum SearchMode {
 
 /// One declared secondary index: relation, column and physical shape.
 /// Declarations are durable engine state (they survive snapshots and log
-/// replay); the index *contents* are reconstructible and are re-warmed
-/// lazily.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexHint {
-    /// The indexed relation's name.
-    pub relation: String,
-    /// The indexed column's (bare) attribute name.
-    pub column: String,
-    /// Physical index shape.
-    pub kind: IndexKind,
-}
+/// replay) and are kept in their persisted form; the index *contents* are
+/// reconstructible and are re-warmed lazily.
+pub use eve_store::IndexHintState as IndexHint;
 
 /// Aggregated columnar/index/interning counters across every relation
 /// extent the engine holds (site-hosted base relations plus materialized
@@ -233,11 +239,71 @@ impl EveEngine {
         let mut named = extent;
         named.set_name(info.name.clone());
         self.mkb.register_relation(info)?;
-        let site = self.sites.get_mut(&site_id.0).ok_or_else(|| Error::State {
-            detail: format!("site {site_id} not registered with the engine"),
-        })?;
-        site.host(named, bfr)?;
-        Ok(())
+        site_mut(&mut self.sites, site_id.0)?.host(named, bfr)
+    }
+
+    /// Seeds base data at the relation's hosting site without view
+    /// maintenance (initial loading).
+    ///
+    /// # Errors
+    ///
+    /// Unknown relation or site, schema-mismatched tuples.
+    pub fn seed_tuples(&mut self, relation: &str, tuples: &[Tuple]) -> Result<()> {
+        let site_id = self.mkb.relation(relation)?.site.0;
+        site_mut(&mut self.sites, site_id)?.apply_update(relation, tuples, &[])
+    }
+
+    /// Applies one [`Command`]: the single mutation path that the shell,
+    /// the server and log replay all share. A failed command other than
+    /// [`Command::Batch`] leaves the engine untouched; a failed batch
+    /// leaves it whole but possibly partially applied (see [`crate::batch`]).
+    ///
+    /// # Errors
+    ///
+    /// Whatever the underlying mutation reports: unknown sites or
+    /// relations, MKB constraint violations, view validation failures.
+    pub fn apply(&mut self, command: &Command) -> Result<Applied> {
+        let mut applied = Applied {
+            changed: true,
+            outcome: BatchOutcome::default(),
+        };
+        match command {
+            Command::AddSite { id, name } => self.add_site(SiteId(*id), name.clone())?,
+            Command::RegisterRelation { info, extent } => {
+                self.register_relation(info.clone(), extent.clone())?;
+            }
+            Command::SeedTuples { relation, tuples } => self.seed_tuples(relation, tuples)?,
+            Command::AddPcConstraint(pc) => self.mkb.add_pc_constraint(pc.clone())?,
+            Command::AddJoinConstraint(jc) => self.mkb.add_join_constraint(jc.clone())?,
+            Command::SetJoinSelectivity { left, right, js } => {
+                self.mkb.set_join_selectivity(left, right, *js);
+            }
+            Command::SetDefaultJoinSelectivity { js } => {
+                self.mkb.set_default_join_selectivity(*js);
+            }
+            Command::DefineView(def) => {
+                self.define_view(def.clone())?;
+            }
+            Command::DropView { name } => {
+                self.drop_view(name)?;
+            }
+            Command::Batch(ops) => applied.outcome = self.apply_batch(ops.clone())?,
+            Command::DeclareIndex(hint) => {
+                applied.changed = self.declare_index(&hint.relation, &hint.column, hint.kind)?;
+            }
+        }
+        Ok(applied)
+    }
+
+    /// The extent of base relation `relation` at its hosting site.
+    fn hosted(&self, relation: &str) -> Result<&Relation> {
+        let site_id = self.mkb.relation(relation)?.site.0;
+        self.sites
+            .get(&site_id)
+            .ok_or_else(|| Error::State {
+                detail: format!("unknown site {site_id}"),
+            })?
+            .relation(relation)
     }
 
     /// Gathers the base extents a view needs.
@@ -247,14 +313,7 @@ impl EveEngine {
             if resolved.contains_key(&item.relation) {
                 continue;
             }
-            let info = self.mkb.relation(&item.relation)?;
-            let site = self.sites.get(&info.site.0).ok_or_else(|| Error::State {
-                detail: format!("unknown site {}", info.site),
-            })?;
-            resolved.insert(
-                item.relation.clone(),
-                site.relation(&item.relation)?.clone(),
-            );
+            resolved.insert(item.relation.clone(), self.hosted(&item.relation)?.clone());
         }
         Ok(resolved)
     }
@@ -395,17 +454,15 @@ impl EveEngine {
     ) -> Result<Vec<(String, MaintenanceTrace)>> {
         let _span = eve_trace::span("engine.data_update");
         eve_trace::global().counter("engine.data_updates").inc();
-        let info = self.mkb.relation(&update.relation)?;
-        let site_id = info.site.0;
+        let site_id = self.mkb.relation(&update.relation)?.site.0;
         // The maintenance walk joins deltas against the *post-update* base
         // state for inserts processed after application; apply first, as the
         // paper assumes update notifications follow the source change.
-        self.sites
-            .get_mut(&site_id)
-            .ok_or_else(|| Error::State {
-                detail: format!("unknown site {site_id}"),
-            })?
-            .apply_update(&update.relation, &update.inserts, &update.deletes)?;
+        site_mut(&mut self.sites, site_id)?.apply_update(
+            &update.relation,
+            &update.inserts,
+            &update.deletes,
+        )?;
 
         let mut traces = Vec::new();
         let names: Vec<String> = self.views.keys().cloned().collect();
@@ -416,23 +473,6 @@ impl EveEngine {
             traces.push((name, trace));
         }
         Ok(traces)
-    }
-
-    /// Applies a batch of data updates through the batched pipeline
-    /// ([`EveEngine::apply_batch`]), merging the per-view traces (the
-    /// paper's "cost for multiple updates can then be computed by summing
-    /// over all individual costs", §6.1).
-    ///
-    /// # Errors
-    ///
-    /// State/validation failures; the batch validates its relations before
-    /// applying anything.
-    pub fn notify_data_updates(
-        &mut self,
-        updates: &[DataUpdate],
-    ) -> Result<BTreeMap<String, MaintenanceTrace>> {
-        let ops: Vec<EvolutionOp> = updates.iter().cloned().map(EvolutionOp::from).collect();
-        Ok(self.apply_batch(ops)?.traces)
     }
 
     /// Processes a capability change end-to-end (the paper's Fig. 1 loop):
@@ -690,24 +730,14 @@ impl EveEngine {
     ) -> Result<()> {
         match change {
             SchemaChange::DeleteRelation { relation } => {
-                let site = self.mkb.relation(relation)?.site;
-                self.sites
-                    .get_mut(&site.0)
-                    .ok_or_else(|| Error::State {
-                        detail: format!("unknown site {site}"),
-                    })?
-                    .drop_relation(relation)?;
+                let site_id = self.mkb.relation(relation)?.site.0;
+                site_mut(&mut self.sites, site_id)?.drop_relation(relation)?;
             }
             SchemaChange::AddRelation { relation } => {
                 let extent = new_extent.ok_or_else(|| Error::State {
                     detail: format!("add-relation {} requires an extent", relation.name),
                 })?;
-                let site = self
-                    .sites
-                    .get_mut(&relation.site.0)
-                    .ok_or_else(|| Error::State {
-                        detail: format!("unknown site {}", relation.site),
-                    })?;
+                let site = site_mut(&mut self.sites, relation.site.0)?;
                 let mut named = extent;
                 named.set_name(relation.name.clone());
                 site.host(named, relation.blocking_factor)?;
@@ -716,32 +746,22 @@ impl EveEngine {
                 relation,
                 attribute,
             } => {
-                let info = self.mkb.relation(relation)?;
-                let site_id = info.site.0;
-                let keep: Vec<eve_relational::ColumnRef> = info
+                let keep: Vec<eve_relational::ColumnRef> = self
+                    .mkb
+                    .relation(relation)?
                     .attributes
                     .iter()
                     .filter(|a| &a.name != attribute)
                     .map(|a| eve_relational::ColumnRef::bare(a.name.clone()))
                     .collect();
-                let site = self.sites.get_mut(&site_id).ok_or_else(|| Error::State {
-                    detail: format!("unknown site {site_id}"),
+                self.rebuild_hosted(relation, relation, |old| {
+                    Ok(eve_relational::algebra::project(&old, &keep, false)?)
                 })?;
-                let old = site.drop_relation(relation)?;
-                let mut projected = eve_relational::algebra::project(&old, &keep, false)?;
-                projected.set_name(relation.clone());
-                site.host(projected, info.blocking_factor)?;
             }
             SchemaChange::AddAttribute {
                 relation,
                 attribute,
-            } => {
-                let info = self.mkb.relation(relation)?;
-                let site_id = info.site.0;
-                let site = self.sites.get_mut(&site_id).ok_or_else(|| Error::State {
-                    detail: format!("unknown site {site_id}"),
-                })?;
-                let old = site.drop_relation(relation)?;
+            } => self.rebuild_hosted(relation, relation, |old| {
                 let default = match attribute.ty {
                     eve_relational::DataType::Int => Value::Int(0),
                     eve_relational::DataType::Float => Value::Float(0.0),
@@ -761,46 +781,47 @@ impl EveEngine {
                     vals.push(default.clone());
                     rebuilt.insert(eve_relational::Tuple::new(vals))?;
                 }
-                site.host(rebuilt, info.blocking_factor)?;
-            }
+                Ok(rebuilt)
+            })?,
             SchemaChange::RenameAttribute { relation, from, to } => {
-                let info = self.mkb.relation(relation)?;
-                let site_id = info.site.0;
-                let site = self.sites.get_mut(&site_id).ok_or_else(|| Error::State {
-                    detail: format!("unknown site {site_id}"),
+                self.rebuild_hosted(relation, relation, |old| {
+                    let names: Vec<eve_relational::ColumnRef> = old
+                        .schema()
+                        .columns()
+                        .iter()
+                        .map(|c| {
+                            if c.column.name == *from {
+                                eve_relational::ColumnRef::bare(to.clone())
+                            } else {
+                                eve_relational::ColumnRef::bare(c.column.name.clone())
+                            }
+                        })
+                        .collect();
+                    Ok(eve_relational::algebra::rename_columns(&old, &names)?)
                 })?;
-                let old = site.drop_relation(relation)?;
-                let names: Vec<eve_relational::ColumnRef> = old
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| {
-                        if c.column.name == *from {
-                            eve_relational::ColumnRef::bare(to.clone())
-                        } else {
-                            eve_relational::ColumnRef::bare(c.column.name.clone())
-                        }
-                    })
-                    .collect();
-                let mut renamed = eve_relational::algebra::rename_columns(&old, &names)?;
-                renamed.set_name(relation.clone());
-                site.host(renamed, info.blocking_factor)?;
             }
-            SchemaChange::RenameRelation { from, to } => {
-                let info = self.mkb.relation(from)?;
-                let site_id = info.site.0;
-                let site = self.sites.get_mut(&site_id).ok_or_else(|| Error::State {
-                    detail: format!("unknown site {site_id}"),
-                })?;
-                let mut old = site.drop_relation(from)?;
-                old.set_name(to.clone());
-                site.host(old, info.blocking_factor)?;
-            }
+            SchemaChange::RenameRelation { from, to } => self.rebuild_hosted(from, to, Ok)?,
         }
         // Extent-rebuilding changes drop the rebuilt relation's warmed
         // indexes with its old storage; re-warm the declared ones.
         self.warm_declared_indexes();
         Ok(())
+    }
+
+    /// Replaces the hosted base relation `relation` by `rebuild` of its
+    /// current extent, hosted as `new_name` at the same site with the same
+    /// blocking factor.
+    fn rebuild_hosted(
+        &mut self,
+        relation: &str,
+        new_name: &str,
+        rebuild: impl FnOnce(Relation) -> Result<Relation>,
+    ) -> Result<()> {
+        let info = self.mkb.relation(relation)?;
+        let site = site_mut(&mut self.sites, info.site.0)?;
+        let mut rebuilt = rebuild(site.drop_relation(relation)?)?;
+        rebuilt.set_name(new_name.to_owned());
+        site.host(rebuilt, info.blocking_factor)
     }
 
     /// Total block I/Os charged across all sites.
@@ -911,20 +932,7 @@ impl EveEngine {
     ///
     /// [`Error::State`] for unregistered relations or unknown columns.
     pub fn declare_index(&mut self, relation: &str, column: &str, kind: IndexKind) -> Result<bool> {
-        let info = self.mkb.relation(relation)?;
-        let site_id = info.site.0;
-        let site = self.sites.get(&site_id).ok_or_else(|| Error::State {
-            detail: format!("unknown site {site_id}"),
-        })?;
-        let rel = site.relation(relation)?;
-        let col = rel
-            .schema()
-            .columns()
-            .iter()
-            .position(|c| c.column.name == column)
-            .ok_or_else(|| Error::State {
-                detail: format!("relation `{relation}` has no column `{column}`"),
-            })?;
+        let (rel, col) = self.indexable(relation, column)?;
         rel.warm_index(col, kind);
         let hint = IndexHint {
             relation: relation.to_owned(),
@@ -951,24 +959,24 @@ impl EveEngine {
     /// and after schema changes that rebuild extents.
     pub fn warm_declared_indexes(&self) {
         for hint in &self.index_hints {
-            let Ok(info) = self.mkb.relation(&hint.relation) else {
-                continue;
-            };
-            let Some(site) = self.sites.get(&info.site.0) else {
-                continue;
-            };
-            let Ok(rel) = site.relation(&hint.relation) else {
-                continue;
-            };
-            if let Some(col) = rel
-                .schema()
-                .columns()
-                .iter()
-                .position(|c| c.column.name == hint.column)
-            {
+            if let Ok((rel, col)) = self.indexable(&hint.relation, &hint.column) {
                 rel.warm_index(col, hint.kind);
             }
         }
+    }
+
+    /// The hosted extent of `relation` and the position of `column` in it.
+    fn indexable(&self, relation: &str, column: &str) -> Result<(&Relation, usize)> {
+        let rel = self.hosted(relation)?;
+        let col = rel
+            .schema()
+            .columns()
+            .iter()
+            .position(|c| c.column.name == column)
+            .ok_or_else(|| Error::State {
+                detail: format!("relation `{relation}` has no column `{column}`"),
+            })?;
+        Ok((rel, col))
     }
 
     /// Aggregated columnar/index/interning counters across every relation
@@ -995,6 +1003,13 @@ impl EveEngine {
         }
         stats
     }
+}
+
+/// The site `id` of `sites`, or a typed "unknown site" error.
+pub(crate) fn site_mut(sites: &mut BTreeMap<u32, SimSite>, id: u32) -> Result<&mut SimSite> {
+    sites.get_mut(&id).ok_or_else(|| Error::State {
+        detail: format!("unknown site {id}"),
+    })
 }
 
 /// Per-view maintenance cost assessment (analytic, Eq. 24 under the
@@ -1511,7 +1526,10 @@ mod tests {
             DataUpdate::insert("Customer", vec![tup!["eli", "5 Ash"]]),
             DataUpdate::insert("FlightRes", vec![tup!["eli", "Asia"]]),
         ];
-        let merged = e.notify_data_updates(&updates).unwrap();
+        let merged = e
+            .apply_batch(updates.into_iter().map(EvolutionOp::from).collect())
+            .unwrap()
+            .traces;
         let trace = &merged["Asia-Customer"];
         assert_eq!(trace.view_inserts, 2); // bob and eli join the view
         assert!(trace.messages >= 3); // at least one notification each

@@ -47,9 +47,14 @@ pub mod site;
 
 pub use durable::{DurableEngine, RecoveryReport};
 pub use engine::{
-    BatchOutcome, ColumnLayerStats, EveEngine, EvolutionReport, IndexHint, SearchMode,
+    Applied, BatchOutcome, ColumnLayerStats, EveEngine, EvolutionReport, IndexHint, SearchMode,
 };
 pub use error::{Error, Result};
+/// The engine's single mutation vocabulary: every mutation the shell, the
+/// server and log replay perform is one of these, applied by
+/// [`EveEngine::apply`] (or durably by [`DurableEngine::apply`]). It *is*
+/// the evolution log's record type, so what is applied is what is logged.
+pub use eve_store::LogRecord as Command;
 pub use eve_sync::EvolutionOp;
 pub use maintainer::{DataUpdate, MaintenanceTrace};
 pub use shell::Shell;

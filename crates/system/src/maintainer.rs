@@ -187,9 +187,7 @@ fn propagate(
         trace.bytes += delta.extent_byte_size();
         let _ = visit_idx;
 
-        let site = sites.get_mut(&site_id.0).ok_or_else(|| Error::State {
-            detail: format!("unknown site {site_id}"),
-        })?;
+        let site = crate::engine::site_mut(sites, site_id.0)?;
         site.charge_messages(2);
 
         for (binding, relation) in bindings {

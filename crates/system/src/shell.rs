@@ -18,11 +18,12 @@
 
 use eve_misd::{AttributeInfo, RelationInfo, SchemaChange, SiteId};
 use eve_relational::{ColumnDef, ColumnRef, DataType, IndexKind, Relation, Schema, Tuple, Value};
+use eve_sync::EvolutionOp;
 
 use crate::durable::DurableEngine;
-use crate::engine::EveEngine;
+use crate::engine::{Applied, EveEngine, IndexHint};
 use crate::error::{Error, Result};
-use crate::maintainer::DataUpdate;
+use crate::Command;
 
 /// The engine the shell drives: in-memory only, or durably backed by an
 /// evolution store (after `open <dir>`).
@@ -36,9 +37,14 @@ enum Host {
 }
 
 /// The interactive shell: an [`EveEngine`] plus a command interpreter.
+/// Every mutating statement is lowered to a [`Command`] and run through
+/// [`Shell::apply`], so a plain and a durable shell take the same engine
+/// path and print the same text.
 #[derive(Debug)]
 pub struct Shell {
     host: Host,
+    /// QC rewrite candidates searched by every command applied so far.
+    candidates_searched: u64,
 }
 
 impl Default for Shell {
@@ -51,9 +57,7 @@ impl Shell {
     /// A shell over a fresh (in-memory) engine.
     #[must_use]
     pub fn new() -> Shell {
-        Shell {
-            host: Host::Plain(EveEngine::new()),
-        }
+        Shell::over(Host::Plain(EveEngine::new()))
     }
 
     /// A shell directly over a durable engine — the server's per-tenant
@@ -61,8 +65,13 @@ impl Shell {
     /// interactive `open` first.
     #[must_use]
     pub fn with_durable(durable: DurableEngine) -> Shell {
+        Shell::over(Host::Durable(durable))
+    }
+
+    fn over(host: Host) -> Shell {
         Shell {
-            host: Host::Durable(durable),
+            host,
+            candidates_searched: 0,
         }
     }
 
@@ -76,8 +85,7 @@ impl Shell {
     }
 
     /// Mutable engine access. With an open store this bypasses the
-    /// evolution log — prefer the shell commands, which route through the
-    /// durable wrappers.
+    /// evolution log — prefer [`Shell::apply`], which logs.
     pub fn engine_mut(&mut self) -> &mut EveEngine {
         match &mut self.host {
             Host::Plain(e) => e,
@@ -92,6 +100,30 @@ impl Shell {
             Host::Plain(_) => None,
             Host::Durable(d) => Some(d),
         }
+    }
+
+    /// Applies one mutation to the host engine — durably, when a store is
+    /// open (a poisoned store refuses it before the engine is touched).
+    ///
+    /// # Errors
+    ///
+    /// Engine or store failures, or [`Error::Poisoned`].
+    pub fn apply(&mut self, command: Command) -> Result<Applied> {
+        let applied = match &mut self.host {
+            Host::Plain(e) => e.apply(&command)?,
+            Host::Durable(d) => d.apply(command)?,
+        };
+        let reports = &applied.outcome.reports;
+        self.candidates_searched += reports.iter().map(|r| r.candidates as u64).sum::<u64>();
+        Ok(applied)
+    }
+
+    /// QC rewrite candidates searched by every command this shell applied
+    /// — what admission control bills a mutation by, measured before and
+    /// after it runs.
+    #[must_use]
+    pub fn candidates_searched(&self) -> u64 {
+        self.candidates_searched
     }
 
     /// Executes one command line, returning the text to display.
@@ -109,35 +141,7 @@ impl Shell {
             Some((c, r)) => (c, r.trim()),
             None => (line, ""),
         };
-        let cmd = cmd.to_ascii_lowercase();
-        // Fail closed on a poisoned durable host: a mutation's re-anchoring
-        // snapshot failed, so the on-disk store is behind the live engine.
-        // Mutating (and history-rewriting) commands are refused *before*
-        // they touch the engine — they would widen the divergence — while
-        // reads and `checkpoint` (the remedy) stay available.
-        if let Host::Durable(d) = &self.host {
-            if let Some(detail) = d.poison_detail() {
-                if matches!(
-                    cmd.as_str(),
-                    "site"
-                        | "relation"
-                        | "insert"
-                        | "pc"
-                        | "jc"
-                        | "view"
-                        | "update"
-                        | "change"
-                        | "rebalance"
-                        | "compact"
-                        | "index"
-                ) {
-                    return Err(Error::Poisoned {
-                        detail: detail.to_owned(),
-                    });
-                }
-            }
-        }
-        match cmd.as_str() {
+        match cmd.to_ascii_lowercase().as_str() {
             "help" => Ok(HELP.trim().to_owned()),
             "site" => self.cmd_site(rest),
             "relation" => self.cmd_relation(rest),
@@ -172,10 +176,10 @@ impl Shell {
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| usage("site <id> <name>"))?;
         let name = parts.next().ok_or_else(|| usage("site <id> <name>"))?;
-        match &mut self.host {
-            Host::Plain(e) => e.add_site(SiteId(id), name)?,
-            Host::Durable(d) => d.add_site(SiteId(id), name)?,
-        }
+        self.apply(Command::AddSite {
+            id,
+            name: name.to_owned(),
+        })?;
         Ok(format!("registered site {id} ({name})"))
     }
 
@@ -235,10 +239,7 @@ impl Shell {
                 .collect(),
         )?;
         let extent = Relation::empty(name.clone(), schema);
-        match &mut self.host {
-            Host::Plain(e) => e.register_relation(info, extent)?,
-            Host::Durable(d) => d.register_relation(info, extent)?,
-        }
+        self.apply(Command::RegisterRelation { info, extent })?;
         Ok(format!("registered relation {name} @ site {site}"))
     }
 
@@ -277,19 +278,10 @@ impl Shell {
             .split_once(char::is_whitespace)
             .ok_or_else(|| usage("insert <Relation> (v1, v2, ...)"))?;
         let tuple = Self::parse_tuple(tuple_text)?;
-        match &mut self.host {
-            Host::Plain(e) => {
-                let info = e.mkb().relation(rel)?;
-                let site = info.site.0;
-                e.sites_mut()
-                    .get_mut(&site)
-                    .ok_or_else(|| Error::State {
-                        detail: format!("unknown site {site}"),
-                    })?
-                    .apply_update(rel, &[tuple], &[])?;
-            }
-            Host::Durable(d) => d.seed_tuples(rel, vec![tuple])?,
-        }
+        self.apply(Command::SeedTuples {
+            relation: rel.to_owned(),
+            tuples: vec![tuple],
+        })?;
         Ok(format!("seeded 1 tuple into {rel}"))
     }
 
@@ -310,10 +302,7 @@ impl Shell {
             _ => return Err(usage(USAGE)),
         };
         let pc = eve_misd::PcConstraint::new(parse_side(left)?, relationship, parse_side(right)?);
-        match &mut self.host {
-            Host::Plain(e) => e.mkb_mut().add_pc_constraint(pc)?,
-            Host::Durable(d) => d.add_pc_constraint(pc)?,
-        }
+        self.apply(Command::AddPcConstraint(pc))?;
         Ok("registered PC constraint".to_owned())
     }
 
@@ -331,18 +320,15 @@ impl Shell {
             rq,
             vec![eve_relational::PrimitiveClause::eq(lref, rref)],
         );
-        match &mut self.host {
-            Host::Plain(e) => e.mkb_mut().add_join_constraint(jc)?,
-            Host::Durable(d) => d.add_join_constraint(jc)?,
-        }
+        self.apply(Command::AddJoinConstraint(jc))?;
         Ok("registered join constraint".to_owned())
     }
 
     fn cmd_view(&mut self, rest: &str) -> Result<String> {
-        let mv = match &mut self.host {
-            Host::Plain(e) => e.define_view_sql(rest)?,
-            Host::Durable(d) => d.define_view_sql(rest)?,
-        };
+        let def = eve_esql::parse_view(rest)?;
+        let name = def.name.clone();
+        self.apply(Command::DefineView(def))?;
+        let mv = self.engine().view(&name)?;
         Ok(format!(
             "materialized view {} with {} rows",
             mv.def.name,
@@ -357,15 +343,12 @@ impl Shell {
         let rel = parts.next().ok_or_else(|| usage(USAGE))?;
         let kind = parts.next().ok_or_else(|| usage(USAGE))?;
         let tuple = Self::parse_tuple(parts.next().ok_or_else(|| usage(USAGE))?)?;
-        let update = match kind.to_ascii_lowercase().as_str() {
-            "insert" => DataUpdate::insert(rel, vec![tuple]),
-            "delete" => DataUpdate::delete(rel, vec![tuple]),
+        let op = match kind.to_ascii_lowercase().as_str() {
+            "insert" => EvolutionOp::insert(rel, vec![tuple]),
+            "delete" => EvolutionOp::delete(rel, vec![tuple]),
             _ => return Err(usage(USAGE)),
         };
-        let traces: Vec<(String, crate::maintainer::MaintenanceTrace)> = match &mut self.host {
-            Host::Plain(e) => e.notify_data_update(&update)?,
-            Host::Durable(d) => d.notify_data_update(&update)?.into_iter().collect(),
-        };
+        let traces = self.apply(Command::Batch(vec![op]))?.outcome.traces;
         let mut out = format!("update applied to {rel}");
         for (view, t) in traces {
             out.push_str(&format!(
@@ -408,11 +391,14 @@ impl Shell {
             }
             _ => return Err(usage(USAGE)),
         };
-        let reports = match &mut self.host {
-            Host::Plain(e) => e.notify_capability_change(&change, None)?,
-            Host::Durable(d) => d.notify_capability_change(&change, None)?,
-        };
         let mut out = format!("applied {change}");
+        let reports = self
+            .apply(Command::Batch(vec![EvolutionOp::Capability {
+                change,
+                new_extent: None,
+            }]))?
+            .outcome
+            .reports;
         for r in reports {
             if !r.affected {
                 continue;
@@ -515,19 +501,18 @@ impl Shell {
         let mut parts = rest.split_whitespace();
         let relation = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
         let column = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
-        let kind = match parts.next().map(str::to_ascii_lowercase).as_deref() {
-            Some("hash") | None => IndexKind::Hash,
-            Some("sorted") => IndexKind::Sorted,
+        let (kind, shape) = match parts.next().map(str::to_ascii_lowercase).as_deref() {
+            Some("hash") | None => (IndexKind::Hash, "hash"),
+            Some("sorted") => (IndexKind::Sorted, "sorted"),
             Some(other) => return Err(usage(&format!("unknown index kind `{other}`"))),
         };
-        let added = match &mut self.host {
-            Host::Plain(e) => e.declare_index(&relation, &column, kind)?,
-            Host::Durable(d) => d.declare_index(&relation, &column, kind)?,
-        };
-        let shape = match kind {
-            IndexKind::Hash => "hash",
-            IndexKind::Sorted => "sorted",
-        };
+        let added = self
+            .apply(Command::DeclareIndex(IndexHint {
+                relation: relation.clone(),
+                column: column.clone(),
+                kind,
+            }))?
+            .changed;
         Ok(if added {
             format!("declared {shape} index on {relation}.{column}")
         } else {
@@ -1017,7 +1002,7 @@ mod tests {
         sh.execute("update FlightRes insert ('dee', 'Asia')")
             .unwrap();
         let json = sh.execute("trace json").unwrap();
-        assert!(json.contains("engine.data_update"), "{json}");
+        assert!(json.contains("engine.apply_batch"), "{json}");
         sh.execute("trace off").unwrap();
         sh.execute("trace clear").unwrap();
         assert!(sh.execute("trace bogus").is_err());
@@ -1314,6 +1299,57 @@ mod tests {
         assert!(!sh.durable().unwrap().is_poisoned());
         sh.execute("site 9 late").unwrap();
         assert!(sh.engine().mkb().sites().any(|(id, _)| id.0 == 9));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn plain_and_durable_shells_agree() {
+        const SCRIPT: &[&str] = &[
+            "site 1 s1",
+            "site 2 s2",
+            "site 3 s3",
+            "relation R @1 (K:int, P:int)",
+            "relation S @2 (K:int, P:int)",
+            "relation T @3 (K:int, P:int)",
+            "insert R (1, 10)",
+            "insert S (2, 20)",
+            "insert T (2, 20)",
+            "pc S (K, P) = T (K, P)",
+            "view CREATE VIEW VR (VE = '~') AS SELECT R.K, R.P FROM R (RR = true)",
+            "view CREATE VIEW VS (VE = '~') AS SELECT S.K FROM S (RR = true)",
+            "index R K",
+            "index R K",
+            "index T P sorted",
+            "update R insert (5, 6)",
+            "update S insert (3, 30)",
+            "insert T (3, 30)",
+            "change delete-relation S",
+            "update T delete (2, 20)",
+            "query VS",
+            "show views",
+        ];
+        let run = |sh: &mut Shell| -> Vec<String> {
+            SCRIPT
+                .iter()
+                .map(|line| sh.execute(line).unwrap_or_else(|e| panic!("{line}: {e}")))
+                .collect()
+        };
+        let dir =
+            std::env::temp_dir().join(format!("eve-shell-durable-{}-agree", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut plain = Shell::new();
+        let mut durable = Shell::new();
+        durable.execute(&format!("open {}", dir.display())).unwrap();
+        let plain_out = run(&mut plain);
+        let durable_out = run(&mut durable);
+        for ((line, p), d) in SCRIPT.iter().zip(&plain_out).zip(&durable_out) {
+            assert_eq!(p, d, "`{line}` printed differently");
+        }
+        assert_eq!(
+            plain.engine().snapshot_state().to_bytes(),
+            durable.engine().snapshot_state().to_bytes()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
