@@ -1,32 +1,38 @@
-//! Criterion bench for the columnar physical layer: the same compiled
-//! plan executed row-at-a-time vs vectorized over interned columns and
-//! lazily built secondary indexes. The acceptance bars — columnar ≥ 5×
-//! row on the wide text join in release (`repro columns`), ≥ 2× in the
-//! tier-1 debug gate (`columnar_wide_text_join_at_least_2x_row`) — are
-//! enforced elsewhere; this bench times the same arms.
+//! Criterion bench for the columnar physical layer: each workload's view
+//! evaluated row-at-a-time by the naive reference evaluator vs the planned
+//! view executed over interned columns and lazily built secondary indexes.
+//! The acceptance bars — columnar ≥ 5× naive on the wide text join in
+//! release (`repro columns`), ≥ 2× in the tier-1 debug gate
+//! (`columnar_wide_text_join_at_least_2x_row`) — are enforced elsewhere;
+//! this bench times the same arms.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use eve_bench::experiments::columns;
-use eve_relational::exec::{execute_with, ExecMode};
-use eve_system::query::plan_view;
+use eve_relational::exec::execute;
+use eve_relational::ExecOptions;
+use eve_system::query::{evaluate_view_naive, plan_view};
 
 fn bench_columns(c: &mut Criterion) {
     let mut group = c.benchmark_group("columns");
     for workload in columns::workloads().unwrap() {
+        group.bench_with_input(
+            BenchmarkId::new("naive", &workload.name),
+            &workload,
+            |b, w| {
+                b.iter(|| {
+                    let out = evaluate_view_naive(&w.view, &w.extents).unwrap();
+                    std::hint::black_box(out.cardinality())
+                });
+            },
+        );
         let plan = plan_view(&workload.view, &workload.extents, &workload.stats).unwrap();
-        group.bench_with_input(BenchmarkId::new("row", &workload.name), &plan, |b, plan| {
-            b.iter(|| {
-                let out = execute_with(plan, ExecMode::RowOriented).unwrap();
-                std::hint::black_box(out.cardinality())
-            });
-        });
         group.bench_with_input(
             BenchmarkId::new("columnar", &workload.name),
             &plan,
             |b, plan| {
                 b.iter(|| {
-                    let out = execute_with(plan, ExecMode::Columnar).unwrap();
+                    let out = execute(plan, &ExecOptions::serial()).unwrap();
                     std::hint::black_box(out.cardinality())
                 });
             },
@@ -34,7 +40,6 @@ fn bench_columns(c: &mut Criterion) {
     }
     group.finish();
 }
-
 criterion_group! {
     name = benches;
     config = Criterion::default()

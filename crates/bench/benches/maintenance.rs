@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use eve_relational::tup;
+use eve_relational::{tup, ExecOptions};
 use eve_system::maintainer::{maintain_view, recompute_view, DataUpdate};
 use eve_system::scenario::{build_uniform_space, UniformSpaceSpec};
 
@@ -50,7 +50,10 @@ fn bench_maintenance(c: &mut Criterion) {
                 let (mut engine, view) = build_uniform_space(spec).unwrap();
                 let mkb = engine.mkb().clone();
                 b.iter(|| {
-                    std::hint::black_box(recompute_view(&view, engine.sites_mut(), &mkb).unwrap())
+                    std::hint::black_box(
+                        recompute_view(&view, engine.sites_mut(), &mkb, &ExecOptions::serial())
+                            .unwrap(),
+                    )
                 });
             },
         );

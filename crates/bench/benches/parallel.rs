@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use eve_bench::experiments::parallel;
-use eve_relational::exec::{execute_with_options, ExecMode};
+use eve_relational::exec::execute;
 use eve_relational::ExecOptions;
 use eve_system::query::plan_view;
 
@@ -21,9 +21,7 @@ fn bench_parallel(c: &mut Criterion) {
             &plan,
             |b, plan| {
                 b.iter(|| {
-                    let out =
-                        execute_with_options(plan, ExecMode::Columnar, &ExecOptions::serial())
-                            .unwrap();
+                    let out = execute(plan, &ExecOptions::serial()).unwrap();
                     std::hint::black_box(out.cardinality())
                 });
             },
@@ -39,7 +37,7 @@ fn bench_parallel(c: &mut Criterion) {
                 &plan,
                 |b, plan| {
                     b.iter(|| {
-                        let out = execute_with_options(plan, ExecMode::Columnar, &opts).unwrap();
+                        let out = execute(plan, &opts).unwrap();
                         std::hint::black_box(out.cardinality())
                     });
                 },

@@ -8,6 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use eve_bench::experiments::view_exec;
+use eve_relational::exec::execute;
+use eve_relational::ExecOptions;
 use eve_system::query::{evaluate_view_naive, plan_view};
 
 fn bench_view_exec(c: &mut Criterion) {
@@ -29,7 +31,7 @@ fn bench_view_exec(c: &mut Criterion) {
             |b, w| {
                 b.iter(|| {
                     let plan = plan_view(&w.view, &w.extents, &w.stats).unwrap();
-                    let out = plan.execute().unwrap();
+                    let out = execute(&plan, &ExecOptions::serial()).unwrap();
                     std::hint::black_box(out.cardinality())
                 });
             },

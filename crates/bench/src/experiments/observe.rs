@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use eve_relational::Relation;
+use eve_relational::{ExecOptions, Relation};
 use eve_system::query::plan_view;
 use eve_trace::MetricsSnapshot;
 
@@ -93,7 +93,8 @@ pub struct ObserveReport {
 fn execute(workload: &Workload) -> Result<Relation, String> {
     let plan = plan_view(&workload.view, &workload.extents, &workload.stats)
         .map_err(|e| format!("plan failed: {e}"))?;
-    plan.execute().map_err(|e| format!("execute failed: {e}"))
+    eve_relational::exec::execute(&plan, &ExecOptions::serial())
+        .map_err(|e| format!("execute failed: {e}"))
 }
 
 /// Per-counter deltas of the deterministic `exec.*` family between two

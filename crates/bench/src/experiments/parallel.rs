@@ -1,7 +1,7 @@
 //! Morsel-driven parallel columnar execution vs the serial columnar
-//! baseline (PR 9 tentpole).
+//! baseline.
 //!
-//! Executes the *same* compiled plan through `ExecMode::Columnar` — once
+//! Executes the *same* compiled plan through [`execute`] — once
 //! serially, then with the morsel pool at 1, 2, 4 and 8 workers — and
 //! reports, per workload × thread count:
 //!
@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use eve_relational::exec::{execute_with_options, ExecMode};
+use eve_relational::exec::execute;
 use eve_relational::{morsel, ExecOptions};
 use eve_system::query::plan_view;
 
@@ -103,7 +103,7 @@ pub fn run(workload: &Workload, reps: usize) -> eve_system::Result<ParallelRow> 
     let mut serial_out = None;
     for _ in 0..reps {
         let started = Instant::now();
-        let out = execute_with_options(&plan, ExecMode::Columnar, &ExecOptions::serial())?;
+        let out = execute(&plan, &ExecOptions::serial())?;
         serial_ms = serial_ms.min(started.elapsed().as_secs_f64() * 1e3);
         serial_out = Some(out);
     }
@@ -121,7 +121,7 @@ pub fn run(workload: &Workload, reps: usize) -> eve_system::Result<ParallelRow> 
         let mut out = None;
         for _ in 0..reps {
             let started = Instant::now();
-            let o = execute_with_options(&plan, ExecMode::Columnar, &opts)?;
+            let o = execute(&plan, &opts)?;
             ms = ms.min(started.elapsed().as_secs_f64() * 1e3);
             out = Some(o);
         }

@@ -13,7 +13,7 @@
 use eve_qc::cost::{cf_io, cf_messages, cf_transfer};
 use eve_qc::{IoBound, MaintenancePlan, QcParams};
 use eve_relational::generator::{generate, generate_containment_chain, AttrSpec, RelationSpec};
-use eve_relational::{tup, Relation};
+use eve_relational::{tup, ExecOptions, Relation};
 use eve_system::maintainer::{maintain_view, recompute_view, DataUpdate};
 use eve_system::scenario::{build_uniform_space, UniformSpaceSpec};
 
@@ -168,7 +168,8 @@ pub fn recompute_vs_incremental() -> eve_system::Result<Vec<RecomputeRow>> {
         let (mut engine, view) = build_uniform_space(&spec)?;
         let mut extent = engine.evaluate(&view)?;
         let mkb = engine.mkb().clone();
-        let (_, recompute_trace) = recompute_view(&view, engine.sites_mut(), &mkb)?;
+        let (_, recompute_trace) =
+            recompute_view(&view, engine.sites_mut(), &mkb, &ExecOptions::serial())?;
         let update = DataUpdate::insert("R1_1", vec![tup![0, 0]]);
         let inc_trace = maintain_view(&view, &mut extent, &update, engine.sites_mut(), &mkb)?;
         out.push(RecomputeRow {

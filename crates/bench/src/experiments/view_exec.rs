@@ -27,7 +27,8 @@ use std::time::Instant;
 use eve_esql::ViewDef;
 use eve_qc::cost::cf_recompute_io;
 use eve_qc::RelSpec;
-use eve_relational::{tup, DataType, Relation, RelationStats, Schema, Tuple};
+use eve_relational::exec::execute;
+use eve_relational::{tup, DataType, ExecOptions, Relation, RelationStats, Schema, Tuple};
 use eve_system::query::{evaluate_view_naive, plan_view};
 
 /// A named view-execution workload: extents, declared statistics and the
@@ -234,7 +235,7 @@ pub fn run(workload: &Workload, reps: usize) -> eve_system::Result<ViewExecRow> 
 
         let started = Instant::now();
         let plan = plan_view(&workload.view, &workload.extents, &workload.stats)?;
-        let out = plan.execute()?;
+        let out = execute(&plan, &ExecOptions::serial())?;
         planned_ms = planned_ms.min(started.elapsed().as_secs_f64() * 1e3);
         planned_out = Some((plan, out));
     }

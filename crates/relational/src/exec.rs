@@ -7,13 +7,16 @@
 //! tuples (join concatenations, filtered subsets) allocate. A filter that
 //! keeps every tuple returns the input's shared storage untouched.
 //!
-//! Two execution modes share one plan tree ([`ExecMode`]): the default
-//! **columnar** mode evaluates pushed-down filters as vectorized passes
-//! over the relation's [`crate::column::ColumnarBatch`], serves
-//! [`PlanNode::IndexScan`] from the lazily built secondary indexes, and
-//! probes hash joins with interned scalar keys (`u64`s instead of cloned
-//! key tuples); the **row-oriented** mode is the frozen PR 3 baseline the
-//! differential suites compare against byte-for-byte.
+//! There is one way to run a plan, [`execute`]: pushed-down filters run
+//! as vectorized passes over the relation's
+//! [`crate::column::ColumnarBatch`] (row-at-a-time only when a predicate
+//! does not compile to column clauses), [`PlanNode::IndexScan`] is served
+//! from the lazily built secondary indexes, and hash joins probe with
+//! interned scalar keys (`u64`s instead of cloned key tuples). A join whose
+//! key column types differ can never match under `Value` equality, so it
+//! returns the empty relation without building a table. The differential
+//! suites hold this executor to the naive algebra fold (as bags) and to
+//! itself across parallelism knobs (byte for byte, order included).
 //!
 //! [`join_with_counts`] is the incremental-maintenance flavour of the hash
 //! join: it additionally reports how many inner tuples each outer (delta)
@@ -33,42 +36,6 @@ use crate::plan::{split_equi_keys, PhysicalPlan, PlanNode};
 use crate::predicate::{CompOp, Predicate, PrimitiveClause};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::tuple::Tuple;
-
-/// Which physical execution strategy to run a plan with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Row-at-a-time operators over `Tuple` storage — the PR 3 baseline,
-    /// kept as the differential reference and benchmark counter-arm.
-    RowOriented,
-    /// Vectorized filters, index scans and interned-key hash joins over
-    /// the columnar layer. The default.
-    #[default]
-    Columnar,
-}
-
-/// Executes a compiled plan, producing the named, projected output relation.
-/// Uses the default (columnar) mode.
-///
-/// # Errors
-///
-/// Propagates predicate evaluation failures (the planner already
-/// type-checked every predicate, so these only occur for pathological
-/// schema/value drift after planning).
-pub fn execute(plan: &PhysicalPlan) -> Result<Relation> {
-    execute_with(plan, ExecMode::Columnar)
-}
-
-/// Executes a compiled plan under an explicit [`ExecMode`]. Both modes
-/// produce byte-identical output (same tuples, same order). Serial
-/// (default [`ExecOptions`]).
-///
-/// # Errors
-///
-/// See [`execute`].
-pub fn execute_with(plan: &PhysicalPlan, mode: ExecMode) -> Result<Relation> {
-    execute_with_options(plan, mode, &ExecOptions::default())
-}
 
 // Per-thread scratch for morsel selection vectors: a worker reuses one
 // buffer across every morsel it runs instead of allocating per morsel
@@ -77,12 +44,11 @@ thread_local! {
     static FILTER_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Execution context threaded through the operator tree: the mode, the
-/// effective worker count (after the planner's tiny-input veto) and the
-/// morsel geometry.
+/// Execution context threaded through the operator tree: the effective
+/// worker count (after the planner's tiny-input veto) and the morsel
+/// geometry.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
-    mode: ExecMode,
     workers: usize,
     opts: &'a ExecOptions,
 }
@@ -116,34 +82,29 @@ fn row_hint(estimated: f64) -> usize {
     }
 }
 
-/// Executes a compiled plan under an explicit mode and [`ExecOptions`].
-/// With `parallelism > 1` the columnar operators run morsel-parallel; the
+/// Executes a compiled plan, producing the named, projected output
+/// relation. With `parallelism > 1` the operators run morsel-parallel; the
 /// output stays byte-identical, order included, to serial execution,
 /// because every operator merges per-morsel outputs in morsel order. The
 /// planner may veto parallelism for tiny inputs (see
-/// [`crate::plan::PlanEstimate::effective_parallelism`]); the row-oriented
-/// baseline always runs serial.
+/// [`crate::plan::PlanEstimate::effective_parallelism`]).
 ///
 /// # Errors
 ///
-/// See [`execute`]; additionally surfaces a worker panic as
+/// Propagates predicate evaluation failures (the planner already
+/// type-checked every predicate, so these only occur for pathological
+/// schema/value drift after planning), and surfaces a worker panic as
 /// [`crate::error::Error::Parallel`].
-pub fn execute_with_options(
-    plan: &PhysicalPlan,
-    mode: ExecMode,
-    opts: &ExecOptions,
-) -> Result<Relation> {
+pub fn execute(plan: &PhysicalPlan, opts: &ExecOptions) -> Result<Relation> {
     let _query_span = eve_trace::span("exec.query");
-    if mode == ExecMode::Columnar {
-        // The columnar image is part of the physical storage: build (or
-        // reuse — it is cached in the shared storage) each base input's
-        // batch up front so vectorized filters and interned join keys
-        // read columns instead of re-deriving scalar keys per tuple.
-        for input in &plan.inputs {
-            let _ = input.relation.columnar();
-        }
+    // The columnar image is part of the physical storage: build (or reuse —
+    // it is cached in the shared storage) each base input's batch up front
+    // so vectorized filters and interned join keys read columns instead of
+    // re-deriving scalar keys per tuple.
+    for input in &plan.inputs {
+        let _ = input.relation.columnar();
     }
-    let workers = if mode == ExecMode::Columnar && opts.parallelism > 1 {
+    let workers = if opts.parallelism > 1 {
         if opts.force_parallel {
             opts.parallelism
         } else {
@@ -156,11 +117,7 @@ pub fn execute_with_options(
     } else {
         1
     };
-    let ctx = Ctx {
-        mode,
-        workers,
-        opts,
-    };
+    let ctx = Ctx { workers, opts };
     let joined = eval(plan, &plan.root, ctx, row_hint(plan.estimate().output_rows))?;
     let tuples = joined.tuples();
     let rows = if ctx.parallel_over(tuples.len()) {
@@ -221,38 +178,35 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
             match pushdown {
                 None => Ok(rel.clone()), // zero-copy: shares tuple storage
                 Some(pred) => {
-                    if ctx.mode == ExecMode::Columnar {
-                        if let Some(compiled) =
-                            column::compile_clauses(pred, rel.schema(), rel.name())
-                        {
-                            let batch = rel.columnar();
-                            let rows = batch.rows();
-                            if ctx.parallel_over(rows) {
-                                morsel::note_parallel_op();
-                                let tuples = rel.tuples();
-                                let n = ctx.opts.morsel_count(rows);
-                                let sels = morsel::run_morsels(ctx.workers, n, |i| {
-                                    let (s, e) = ctx.opts.morsel_range(i, rows);
-                                    FILTER_SCRATCH.with(|buf| {
-                                        let mut scratch = buf.borrow_mut();
-                                        column::filter_batch_range(
-                                            &batch,
-                                            tuples,
-                                            &compiled,
-                                            u32::try_from(s).expect("row id fits u32"),
-                                            u32::try_from(e).expect("row id fits u32"),
-                                            &mut scratch,
-                                        );
-                                        Ok(scratch.clone())
-                                    })
-                                })?;
-                                return Ok(materialize_selection(rel, &concat_chunks(sels)));
-                            }
-                            let sel = column::filter_batch(&batch, rel.tuples(), &compiled);
-                            return Ok(materialize_selection(rel, &sel));
-                        }
+                    let Some(compiled) = column::compile_clauses(pred, rel.schema(), rel.name())
+                    else {
+                        let sel = filter_rows(rel, pred)?;
+                        return Ok(materialize_selection(rel, &sel));
+                    };
+                    let batch = rel.columnar();
+                    let rows = batch.rows();
+                    if ctx.parallel_over(rows) {
+                        morsel::note_parallel_op();
+                        let tuples = rel.tuples();
+                        let n = ctx.opts.morsel_count(rows);
+                        let sels = morsel::run_morsels(ctx.workers, n, |i| {
+                            let (s, e) = ctx.opts.morsel_range(i, rows);
+                            FILTER_SCRATCH.with(|buf| {
+                                let mut scratch = buf.borrow_mut();
+                                column::filter_batch_range(
+                                    &batch,
+                                    tuples,
+                                    &compiled,
+                                    u32::try_from(s).expect("row id fits u32"),
+                                    u32::try_from(e).expect("row id fits u32"),
+                                    &mut scratch,
+                                );
+                                Ok(scratch.clone())
+                            })
+                        })?;
+                        return Ok(materialize_selection(rel, &concat_chunks(sels)));
                     }
-                    let sel = filter_rows(rel, pred)?;
+                    let sel = column::filter_batch(&batch, rel.tuples(), &compiled);
                     Ok(materialize_selection(rel, &sel))
                 }
             }
@@ -263,15 +217,9 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
             op,
             key,
             residual,
-            pushdown,
         } => {
             let _span = eve_trace::span("exec.index_scan");
             let rel = &plan.inputs[*input].relation;
-            if ctx.mode == ExecMode::RowOriented {
-                // Baseline semantics: the index clause is just a filter.
-                let sel = filter_rows(rel, pushdown)?;
-                return Ok(materialize_selection(rel, &sel));
-            }
             let rows = if *op == CompOp::Eq {
                 rel.index_eq_rows(*col, key)
             } else {
@@ -322,21 +270,17 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
             let probe_rel = eval(plan, probe, ctx, 0)?;
             let build_rel = eval(plan, build, ctx, 0)?;
             let _span = eve_trace::span("exec.join.hash");
-            if ctx.mode == ExecMode::Columnar
-                && key_types_match(&probe_rel, probe_keys, &build_rel, build_keys)
-            {
-                if ctx.parallel_over(probe_rel.cardinality().max(build_rel.cardinality())) {
-                    return hash_join_columnar_parallel(
-                        &probe_rel, &build_rel, probe_keys, build_keys, residual, schema, ctx,
-                        out_hint,
-                    );
-                }
-                return hash_join_columnar(
-                    &probe_rel, &build_rel, probe_keys, build_keys, residual, schema, out_hint,
+            if !key_types_match(&probe_rel, probe_keys, &build_rel, build_keys) {
+                let name = format!("{}⋈{}", probe_rel.name(), build_rel.name());
+                return Ok(Relation::empty(name, schema.clone()));
+            }
+            if ctx.parallel_over(probe_rel.cardinality().max(build_rel.cardinality())) {
+                return hash_join_parallel(
+                    &probe_rel, &build_rel, probe_keys, build_keys, residual, schema, ctx, out_hint,
                 );
             }
-            hash_join_rows(
-                &probe_rel, &build_rel, probe_keys, build_keys, residual, schema,
+            hash_join(
+                &probe_rel, &build_rel, probe_keys, build_keys, residual, schema, out_hint,
             )
         }
         PlanNode::NestedLoop {
@@ -389,8 +333,10 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
 }
 
 /// Whether every probe/build key column pair compares the same type. A
-/// mismatched pair can never match under `Value` equality; the scalar key
-/// encoding cannot express that, so such joins take the row path.
+/// mismatched pair can never match: `Value` equality is `try_cmp ==
+/// Equal`, `try_cmp` errors across types, and tuples are schema-validated.
+/// The scalar key encoding cannot express that, so callers answer such a
+/// join with no rows before building any table.
 fn key_types_match(
     probe: &Relation,
     probe_keys: &[usize],
@@ -412,8 +358,7 @@ enum JoinKey {
 
 /// Multiply-xor hasher for [`JoinKey`]s: interned scalar keys are already
 /// uniform `u64`s, and SipHash would cost more per probe than the table
-/// lookup itself. Not used for projected-`Tuple` keys (the row baseline),
-/// which hash full values.
+/// lookup itself.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -512,9 +457,9 @@ fn partition_of(k: &JoinKey, mask: u64) -> usize {
 }
 
 /// Hash join over interned scalar keys: hashes `u64`s instead of cloning
-/// and hashing projected key tuples. Output order is identical to the row
-/// path — probe order outer, build insertion (ascending row) order inner.
-fn hash_join_columnar(
+/// and hashing projected key tuples. Output order is probe order outer,
+/// build insertion (ascending row) order inner.
+fn hash_join(
     probe_rel: &Relation,
     build_rel: &Relation,
     probe_keys: &[usize],
@@ -564,9 +509,9 @@ fn hash_join_columnar(
 ///    the partition tables; per-morsel outputs merge in morsel order.
 ///
 /// Output is therefore byte-identical, order included, to
-/// [`hash_join_columnar`]: probe-order outer, ascending build rows inner.
+/// [`hash_join`]: probe-order outer, ascending build rows inner.
 #[allow(clippy::too_many_arguments)]
-fn hash_join_columnar_parallel(
+fn hash_join_parallel(
     probe_rel: &Relation,
     build_rel: &Relation,
     probe_keys: &[usize],
@@ -656,34 +601,6 @@ fn hash_join_columnar_parallel(
     ))
 }
 
-/// The PR 3 row-oriented hash join: projected-`Tuple` keys.
-fn hash_join_rows(
-    probe_rel: &Relation,
-    build_rel: &Relation,
-    probe_keys: &[usize],
-    build_keys: &[usize],
-    residual: &Predicate,
-    schema: &Schema,
-) -> Result<Relation> {
-    let name = format!("{}⋈{}", probe_rel.name(), build_rel.name());
-    let mut table: HashMap<Tuple, Vec<&Tuple>> = HashMap::new();
-    for b in build_rel.tuples() {
-        table.entry(b.project(build_keys)).or_default().push(b);
-    }
-    let mut out = Vec::new();
-    for p in probe_rel.tuples() {
-        if let Some(matches) = table.get(&p.project(probe_keys)) {
-            for b in matches {
-                let t = p.concat(b);
-                if residual.is_true() || residual.eval(schema, &t, &name)? {
-                    out.push(t);
-                }
-            }
-        }
-    }
-    Ok(Relation::from_validated(name, schema.clone(), out))
-}
-
 /// Joins `delta` with `next` under the conjunction `on`, returning the
 /// joined relation together with the number of `next`-tuples matched by
 /// each delta tuple (for probe-I/O accounting). Equality clauses between
@@ -694,8 +611,9 @@ fn hash_join_rows(
 /// This is Algorithm 1's per-site delta join, physically: identical output
 /// order (delta-major, build-table insertion order within a key) and
 /// identical match counts to the historical naive implementation. The
-/// keyed probe runs over interned scalar keys when the column types line
-/// up, falling back to projected-tuple keys otherwise.
+/// keyed probe runs over interned scalar keys; when a key pair's column
+/// types differ nothing can match, so the result is empty with an all-zero
+/// count per delta tuple.
 ///
 /// # Errors
 ///
@@ -728,42 +646,26 @@ pub fn join_with_counts(
     }
 
     let (delta_idx, next_idx): (Vec<usize>, Vec<usize>) = keys.into_iter().unzip();
-    if key_types_match(delta, &delta_idx, next, &next_idx) {
-        let next_key_vec = join_key_vector(next, &next_idx);
-        let mut table = key_table_with_capacity(next_key_vec.len());
-        for (i, k) in next_key_vec.into_iter().enumerate() {
-            table
-                .entry(k)
-                .or_default()
-                .push(u32::try_from(i).expect("row id fits u32"));
-        }
-        let delta_key_vec = join_key_vector(delta, &delta_idx);
-        let next_tuples = next.tuples();
-        for (di, k) in delta_key_vec.into_iter().enumerate() {
-            let matches = table.get(&k).map_or(&[][..], Vec::as_slice);
-            counts.push(matches.len());
-            let dt = &delta.tuples()[di];
-            for &n in matches {
-                let t = dt.concat(&next_tuples[n as usize]);
-                if residual.eval(&schema, &t, &name)? {
-                    out.push(t);
-                }
-            }
-        }
+    if !key_types_match(delta, &delta_idx, next, &next_idx) {
+        counts.resize(delta.cardinality(), 0);
         return Ok((Relation::from_validated(name, schema, out), counts));
     }
-
-    let mut table: HashMap<Tuple, Vec<&Tuple>> = HashMap::new();
-    for n in next.tuples() {
-        table.entry(n.project(&next_idx)).or_default().push(n);
+    let next_key_vec = join_key_vector(next, &next_idx);
+    let mut table = key_table_with_capacity(next_key_vec.len());
+    for (i, k) in next_key_vec.into_iter().enumerate() {
+        table
+            .entry(k)
+            .or_default()
+            .push(u32::try_from(i).expect("row id fits u32"));
     }
-    for d in delta.tuples() {
-        let matches = table
-            .get(&d.project(&delta_idx))
-            .map_or(&[][..], Vec::as_slice);
+    let delta_key_vec = join_key_vector(delta, &delta_idx);
+    let next_tuples = next.tuples();
+    for (di, k) in delta_key_vec.into_iter().enumerate() {
+        let matches = table.get(&k).map_or(&[][..], Vec::as_slice);
         counts.push(matches.len());
-        for n in matches {
-            let t = d.concat(n);
+        let dt = &delta.tuples()[di];
+        for &n in matches {
+            let t = dt.concat(&next_tuples[n as usize]);
             if residual.eval(&schema, &t, &name)? {
                 out.push(t);
             }
@@ -779,8 +681,15 @@ mod tests {
     use crate::predicate::CompOp;
     use crate::schema::{ColumnRef, Schema};
     use crate::tup;
+    use crate::tuple::Tuple;
     use crate::types::{DataType, Value};
     use crate::{algebra, Predicate};
+
+    use crate::reference::{naive, sorted_tuples};
+
+    fn run(p: &PhysicalPlan) -> Relation {
+        execute(p, &ExecOptions::serial()).unwrap()
+    }
 
     fn rel(name: &str, cols: &[(&str, DataType)], rows: Vec<Tuple>) -> Relation {
         Relation::with_tuples(name, Schema::of(cols).unwrap().qualify(name), rows).unwrap()
@@ -842,7 +751,7 @@ mod tests {
     fn chain_join_matches_naive_reference() {
         let spec = chain_spec();
         let p = plan(spec).unwrap();
-        let out = p.execute().unwrap();
+        let out = run(&p);
         let mut got = out.tuples().to_vec();
         got.sort();
         assert_eq!(got, vec![tup![1, 11, 12], tup![3, 31, 32]]);
@@ -852,11 +761,18 @@ mod tests {
 
     #[test]
     fn exec_modes_agree_byte_for_byte() {
-        let p = plan(chain_spec()).unwrap();
-        let columnar = execute_with(&p, ExecMode::Columnar).unwrap();
-        let row = execute_with(&p, ExecMode::RowOriented).unwrap();
-        assert_eq!(columnar.tuples(), row.tuples(), "same tuples, same order");
-        assert_eq!(columnar, row);
+        let spec = chain_spec();
+        let reference = naive(&spec);
+        let out = run(&plan(spec).unwrap());
+        // The exact order the retired row-at-a-time executor produced.
+        assert_eq!(
+            out.tuples(),
+            &[tup![1, 11, 12], tup![3, 31, 32]],
+            "same tuples, same order"
+        );
+        assert_eq!(out.name(), reference.name());
+        assert_eq!(out.schema(), reference.schema());
+        assert_eq!(sorted_tuples(&out), sorted_tuples(&reference));
     }
 
     #[test]
@@ -892,11 +808,15 @@ mod tests {
             projection: vec![ColumnRef::parse("L.P"), ColumnRef::parse("R.Q")],
             output: vec![ColumnRef::bare("P"), ColumnRef::bare("Q")],
         };
-        let p = plan(spec).unwrap();
-        let columnar = execute_with(&p, ExecMode::Columnar).unwrap();
-        let row = execute_with(&p, ExecMode::RowOriented).unwrap();
-        assert_eq!(columnar.tuples(), row.tuples());
-        assert_eq!(columnar.cardinality(), 4); // 2 'a' × 2 'a'
+        let reference = naive(&spec);
+        let out = run(&plan(spec).unwrap());
+        // The exact order the retired row-at-a-time executor produced.
+        assert_eq!(
+            out.tuples(),
+            &[tup![1, 10], tup![1, 40], tup![3, 10], tup![3, 40]]
+        );
+        assert_eq!(sorted_tuples(&out), sorted_tuples(&reference));
+        assert_eq!(out.cardinality(), 4); // 2 'a' × 2 'a'
     }
 
     #[test]
@@ -922,7 +842,7 @@ mod tests {
             }
             other => panic!("expected a bare scan, got {other:?}"),
         }
-        let out = p.execute().unwrap();
+        let out = run(&p);
         assert_eq!(out.tuples(), &[tup![1], tup![2]]);
     }
 
@@ -948,7 +868,7 @@ mod tests {
             projection: vec![ColumnRef::parse("A.K")],
             output: vec![ColumnRef::bare("K")],
         };
-        let out = plan(spec).unwrap().execute().unwrap();
+        let out = run(&plan(spec).unwrap());
         assert_eq!(out.tuples(), &[tup![0], tup![1], tup![2]]);
     }
 
@@ -987,7 +907,6 @@ mod tests {
         let p = plan(spec).unwrap();
         let opts = ExecOptions::default();
         let ctx = Ctx {
-            mode: ExecMode::Columnar,
             workers: 1,
             opts: &opts,
         };
@@ -1075,10 +994,11 @@ mod tests {
 
     #[test]
     fn parallel_execution_is_byte_identical_across_knobs() {
-        let p = plan(wide_spec()).unwrap();
-        let serial = execute_with(&p, ExecMode::Columnar).unwrap();
-        let row = execute_with(&p, ExecMode::RowOriented).unwrap();
-        assert_eq!(serial.tuples(), row.tuples());
+        let spec = wide_spec();
+        let reference = naive(&spec);
+        let p = plan(spec).unwrap();
+        let serial = run(&p);
+        assert_eq!(sorted_tuples(&serial), sorted_tuples(&reference));
         for parallelism in [2, 4, 8] {
             for morsel_rows in [1, 7, 64, 4096] {
                 let opts = ExecOptions {
@@ -1086,7 +1006,7 @@ mod tests {
                     morsel_rows,
                     force_parallel: true,
                 };
-                let out = execute_with_options(&p, ExecMode::Columnar, &opts).unwrap();
+                let out = execute(&p, &opts).unwrap();
                 assert_eq!(
                     out.tuples(),
                     serial.tuples(),
@@ -1102,10 +1022,9 @@ mod tests {
         let p = plan(chain_spec()).unwrap();
         assert_eq!(p.estimate().effective_parallelism(8), 1);
         let before = morsel::stats().serial_fallbacks;
-        let out = execute_with_options(&p, ExecMode::Columnar, &ExecOptions::with_parallelism(8))
-            .unwrap();
+        let out = execute(&p, &ExecOptions::with_parallelism(8)).unwrap();
         assert!(morsel::stats().serial_fallbacks > before);
-        assert_eq!(out, execute_with(&p, ExecMode::Columnar).unwrap());
+        assert_eq!(out, run(&p));
     }
 
     #[test]
@@ -1116,9 +1035,8 @@ mod tests {
             "wide spec must be big enough for the planner to accept workers"
         );
         let before = morsel::stats();
-        let _ = execute_with_options(
+        let _ = execute(
             &p,
-            ExecMode::Columnar,
             &ExecOptions {
                 parallelism: 4,
                 morsel_rows: 64,
@@ -1130,6 +1048,75 @@ mod tests {
         assert!(after.morsels > before.morsels, "morsels dispatched");
         assert!(after.partitions > before.partitions, "partitions built");
         assert!(after.parallel_ops > before.parallel_ops, "parallel ops");
+    }
+
+    #[test]
+    fn mismatched_key_types_through_the_planner_return_empty() {
+        // `A.K = B.K` with K Int on one side and Text on the other plans
+        // to a keyed hash join, but no tuple can ever match: the executor
+        // answers the empty relation, serially and morsel-parallel alike.
+        let a = rel(
+            "A",
+            &[("K", DataType::Int), ("P", DataType::Int)],
+            vec![tup![1, 10], tup![2, 20]],
+        );
+        let b = rel(
+            "B",
+            &[("K", DataType::Text), ("Q", DataType::Int)],
+            vec![tup!["1", 100], tup!["2", 200], tup!["a", 300]],
+        );
+        let spec = QuerySpec {
+            name: "V".into(),
+            inputs: vec![
+                QueryInput {
+                    binding: "A".into(),
+                    relation: a,
+                    stats: None,
+                },
+                QueryInput {
+                    binding: "B".into(),
+                    relation: b,
+                    stats: None,
+                },
+            ],
+            clauses: vec![PrimitiveClause::eq(
+                ColumnRef::parse("A.K"),
+                ColumnRef::parse("B.K"),
+            )],
+            projection: vec![ColumnRef::parse("A.P"), ColumnRef::parse("B.Q")],
+            output: vec![ColumnRef::bare("P"), ColumnRef::bare("Q")],
+        };
+        let p = plan(spec).unwrap();
+        let PlanNode::HashJoin {
+            probe_keys, schema, ..
+        } = &p.root
+        else {
+            panic!("expected a hash join, got {:?}", p.root);
+        };
+        assert!(!probe_keys.is_empty(), "the equality is a join key");
+        let serial = ExecOptions::serial();
+        let forced = ExecOptions {
+            parallelism: 4,
+            morsel_rows: 1,
+            force_parallel: true,
+        };
+        for opts in [&serial, &forced] {
+            let joined = eval(
+                &p,
+                &p.root,
+                Ctx {
+                    workers: opts.parallelism,
+                    opts,
+                },
+                0,
+            )
+            .unwrap();
+            assert!(joined.is_empty());
+            assert_eq!(joined.schema(), schema, "the join's schema");
+            let out = execute(&p, opts).unwrap();
+            assert!(out.is_empty());
+            assert_eq!(out.schema(), p.output_schema());
+        }
     }
 
     #[test]

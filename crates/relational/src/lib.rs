@@ -50,7 +50,6 @@ pub mod types;
 
 pub use column::{Column, ColumnarBatch};
 pub use error::{Error, Result};
-pub use exec::ExecMode;
 pub use index::{IndexKind, IndexStats};
 pub use intern::{InternStats, Symbol};
 pub use morsel::{ExecOptions, ExecStats};
@@ -61,3 +60,11 @@ pub use schema::{ColumnDef, ColumnRef, Schema};
 pub use stats::RelationStats;
 pub use tuple::Tuple;
 pub use types::{DataType, Value};
+
+// The unit tests share the integration suites' reference module
+// (`tests/common`), which names this crate by its external path.
+#[cfg(test)]
+extern crate self as eve_relational;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod reference;

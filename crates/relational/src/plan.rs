@@ -101,9 +101,6 @@ pub enum PlanNode {
         key: Value,
         /// Pushed-down clauses minus the indexed one.
         residual: Option<Predicate>,
-        /// The full pushed-down conjunction (indexed clause included);
-        /// the row-oriented execution mode evaluates this as a filter.
-        pushdown: Predicate,
     },
     /// Hash equi-join: `build` is materialized into a hash table on
     /// `build_keys`, `probe` streams against it. Output tuples are
@@ -251,15 +248,6 @@ impl PhysicalPlan {
     #[must_use]
     pub fn output_schema(&self) -> &Schema {
         &self.output_schema
-    }
-
-    /// Executes the plan (see [`crate::exec::execute`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates predicate evaluation failures.
-    pub fn execute(&self) -> Result<Relation> {
-        crate::exec::execute(self)
     }
 
     /// One-line-per-operator rendering for logs and benchmarks.
@@ -595,7 +583,6 @@ pub fn plan(spec: QuerySpec) -> Result<PhysicalPlan> {
                     } else {
                         Some(Predicate::new(rest))
                     },
-                    pushdown: pred,
                 }
             }
             None => {
@@ -979,7 +966,7 @@ mod tests {
             "index access must undercut the 50-block full scan: {est:?}"
         );
         // Execution through the index stays correct.
-        let out = p.execute().unwrap();
+        let out = crate::exec::execute(&p, &crate::ExecOptions::serial()).unwrap();
         assert_eq!(out.cardinality(), 5);
         assert_eq!(p.explain().lines().count(), 2, "{}", p.explain());
         assert!(p.explain().contains("index-scan R"), "{}", p.explain());
@@ -1047,7 +1034,7 @@ mod tests {
             }
             other => panic!("expected an index scan, got {other:?}"),
         }
-        let out = p.execute().unwrap();
+        let out = crate::exec::execute(&p, &crate::ExecOptions::serial()).unwrap();
         let expect: Vec<_> = (0..20i64).filter(|k| k % 2 == 1).map(|k| tup![k]).collect();
         assert_eq!(out.tuples(), &expect[..]);
     }

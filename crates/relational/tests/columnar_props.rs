@@ -9,18 +9,18 @@
 //! 2. **Index/scan differential** — across random insert/delete op
 //!    streams, index-backed equality and range lookups agree with a full
 //!    scan after every single op.
-//! 3. **Columnar/row differential** — planned execution in columnar mode
-//!    is byte-identical (order included) to the frozen row-at-a-time
-//!    mode, on random specs over mixed Int/Text schemas.
+//! 3. **Executor/naive differential** — planned execution over the
+//!    columnar layer equals the naive algebra fold (`common::naive`) as a
+//!    bag, on random specs over mixed Int/Text schemas.
 //!
 //! Case counts honour `PROPTEST_CASES` (CI smoke 64, nightly 256).
 
 use proptest::prelude::*;
 
-use eve_relational::exec::{execute_with, ExecMode};
+use eve_relational::exec::execute;
 use eve_relational::{
-    intern, ColumnDef, ColumnRef, CompOp, DataType, IndexKind, PrimitiveClause, QueryInput,
-    QuerySpec, Relation, Schema, Tuple, Value,
+    intern, ColumnDef, ColumnRef, CompOp, DataType, ExecOptions, IndexKind, PrimitiveClause,
+    QueryInput, QuerySpec, Relation, Schema, Tuple, Value,
 };
 
 // ---------------------------------------------------------------------
@@ -80,8 +80,11 @@ fn scan_rows(rel: &Relation, col: usize, op: CompOp, key: &Value) -> Vec<u32> {
 }
 
 // ---------------------------------------------------------------------
-// 3. Columnar ≡ row differential on random specs.
+// 3. Executor ≡ naive differential on random specs.
 // ---------------------------------------------------------------------
+
+mod common;
+use common::{naive, sorted_tuples};
 
 const BINDINGS: [&str; 2] = ["A", "B"];
 
@@ -247,16 +250,16 @@ proptest! {
     }
 
     // -------------------------------------------------------------------
-    // Columnar execution ≡ row-oriented execution, byte for byte, on
-    // random mixed Int/Text specs (interned join keys included).
+    // Columnar execution ≡ the naive fold, as bags, on random mixed
+    // Int/Text specs (interned join keys included).
     // -------------------------------------------------------------------
     #[test]
     fn columnar_execution_equals_row_execution(spec in arb_spec()) {
+        let reference = naive(&spec);
         let plan = eve_relational::plan::plan(spec).unwrap();
-        let row = execute_with(&plan, ExecMode::RowOriented).unwrap();
-        let col = execute_with(&plan, ExecMode::Columnar).unwrap();
-        prop_assert_eq!(row.schema(), col.schema());
-        prop_assert_eq!(row.tuples(), col.tuples(), "byte-identical, order included");
+        let col = execute(&plan, &ExecOptions::serial()).unwrap();
+        prop_assert_eq!(reference.schema(), col.schema());
+        prop_assert_eq!(sorted_tuples(&reference), sorted_tuples(&col), "same bag");
     }
 
     // -------------------------------------------------------------------
@@ -283,12 +286,16 @@ proptest! {
             ],
             output: vec![ColumnRef::bare("X0"), ColumnRef::bare("X1")],
         };
-        let cold = eve_relational::plan::plan(mk_spec(mixed_relation("A", &rows)))
-            .unwrap().execute().unwrap();
+        let serial = ExecOptions::serial();
+        let cold = execute(
+            &eve_relational::plan::plan(mk_spec(mixed_relation("A", &rows))).unwrap(),
+            &serial,
+        ).unwrap();
         let indexed = mixed_relation("A", &rows);
         indexed.warm_index(0, IndexKind::Sorted);
         indexed.warm_index(1, IndexKind::Hash);
-        let warm = eve_relational::plan::plan(mk_spec(indexed)).unwrap().execute().unwrap();
+        let warm = execute(&eve_relational::plan::plan(mk_spec(indexed)).unwrap(), &serial)
+            .unwrap();
         prop_assert_eq!(cold.tuples(), warm.tuples());
     }
 }

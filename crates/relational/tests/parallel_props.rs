@@ -6,8 +6,8 @@
 //!    random spec executed with morsel parallelism (any thread count ×
 //!    any morsel size, `force_parallel` so the planner's tiny-input veto
 //!    cannot make the property vacuous) is byte-identical (order
-//!    included) to serial columnar execution, which is itself
-//!    byte-identical to the frozen row-at-a-time mode.
+//!    included) to serial execution, which itself equals the naive algebra
+//!    fold (`common::naive`) as a bag.
 //! 2. **Failure containment** — a worker that panics or errors on an
 //!    arbitrary morsel surfaces a typed error from `run_morsels`; the
 //!    pool never hangs and never returns a partial extent.
@@ -16,12 +16,15 @@
 
 use proptest::prelude::*;
 
-use eve_relational::exec::{execute_with_options, ExecMode};
+use eve_relational::exec::execute;
 use eve_relational::morsel::run_morsels;
 use eve_relational::{
     ColumnDef, ColumnRef, CompOp, DataType, Error, ExecOptions, PrimitiveClause, QueryInput,
     QuerySpec, Relation, Schema, Tuple, Value,
 };
+
+mod common;
+use common::{naive, sorted_tuples};
 
 const BINDINGS: [&str; 2] = ["A", "B"];
 
@@ -31,7 +34,7 @@ fn arb_string() -> impl Strategy<Value = String> {
 
 /// A two-input spec over (Int, Text) schemas: equality join on a random
 /// column pair of matching type, plus random literal clauses. Mirrors
-/// the columnar/row differential generator so the parallel path is
+/// the columnar/naive differential generator so the parallel path is
 /// exercised on the same spec distribution.
 fn mixed_relation(binding: &str, rows: &[(i64, String)]) -> Relation {
     let schema = Schema::new(vec![
@@ -124,23 +127,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     // -------------------------------------------------------------------
-    // Parallel columnar ≡ serial columnar ≡ row-oriented, byte for byte,
-    // through the planner, across the whole knob grid.
+    // Parallel ≡ serial, byte for byte, and serial ≡ the naive fold as
+    // bags, through the planner, across the whole knob grid.
     // -------------------------------------------------------------------
     #[test]
     fn parallel_execution_equals_serial_and_row(
         spec in arb_spec(),
         opts in arb_exec_options(),
     ) {
+        let reference = naive(&spec);
         let plan = eve_relational::plan::plan(spec).unwrap();
-        let row = execute_with_options(
-            &plan, ExecMode::RowOriented, &ExecOptions::serial()).unwrap();
-        let serial = execute_with_options(
-            &plan, ExecMode::Columnar, &ExecOptions::serial()).unwrap();
-        let parallel = execute_with_options(&plan, ExecMode::Columnar, &opts).unwrap();
-        prop_assert_eq!(row.schema(), serial.schema());
+        let serial = execute(&plan, &ExecOptions::serial()).unwrap();
+        let parallel = execute(&plan, &opts).unwrap();
+        prop_assert_eq!(reference.schema(), serial.schema());
         prop_assert_eq!(serial.schema(), parallel.schema());
-        prop_assert_eq!(row.tuples(), serial.tuples(), "columnar ≡ row");
+        prop_assert_eq!(sorted_tuples(&reference), sorted_tuples(&serial), "columnar ≡ naive");
         prop_assert_eq!(
             serial.tuples(),
             parallel.tuples(),

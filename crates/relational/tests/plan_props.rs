@@ -1,17 +1,20 @@
 //! Differential property suite for the physical query layer: for random
 //! select-project-join specs, planned execution
 //! ([`eve_relational::plan::plan`] + [`eve_relational::exec::execute`])
-//! must produce exactly the bag the naive algebra pipeline (cartesian
-//! product → selection → projection → rename) produces — with or without
-//! declared statistics steering the join order.
+//! must produce exactly the bag the naive algebra pipeline (`common::naive`:
+//! cartesian product → selection → projection → rename) produces — with or
+//! without declared statistics steering the join order.
 
 use proptest::prelude::*;
 
-use eve_relational::algebra::{cartesian, project, rename_columns, select};
+use eve_relational::exec::execute;
 use eve_relational::{
-    ColumnDef, ColumnRef, CompOp, DataType, Predicate, PrimitiveClause, QueryInput, QuerySpec,
+    ColumnDef, ColumnRef, CompOp, DataType, ExecOptions, PrimitiveClause, QueryInput, QuerySpec,
     Relation, RelationStats, Schema, Tuple, Value,
 };
+
+mod common;
+use common::{naive, sorted_tuples};
 
 const BINDINGS: [&str; 3] = ["A", "B", "C"];
 const COLS: usize = 2;
@@ -108,26 +111,6 @@ fn arbitrary_spec() -> impl Strategy<Value = QuerySpec> {
         )
 }
 
-/// The naive reference: cartesian-fold all inputs, apply the whole
-/// conjunction at once, project and rename.
-fn naive(spec: &QuerySpec) -> Relation {
-    let mut acc = spec.inputs[0].relation.clone();
-    for input in &spec.inputs[1..] {
-        acc = cartesian(&acc, &input.relation).unwrap();
-    }
-    let selected = select(&acc, &Predicate::new(spec.clauses.clone())).unwrap();
-    let projected = project(&selected, &spec.projection, false).unwrap();
-    let mut renamed = rename_columns(&projected, &spec.output).unwrap();
-    renamed.set_name(spec.name.clone());
-    renamed
-}
-
-fn sorted_tuples(rel: &Relation) -> Vec<Tuple> {
-    let mut v = rel.tuples().to_vec();
-    v.sort();
-    v
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -138,7 +121,7 @@ proptest! {
     fn planned_execution_equals_naive_reference(spec in arbitrary_spec()) {
         let reference = naive(&spec);
         let plan = eve_relational::plan::plan(spec).unwrap();
-        let planned = plan.execute().unwrap();
+        let planned = execute(&plan, &ExecOptions::serial()).unwrap();
         prop_assert_eq!(planned.name(), reference.name());
         prop_assert_eq!(planned.schema(), reference.schema());
         prop_assert_eq!(sorted_tuples(&planned), sorted_tuples(&reference));
@@ -160,7 +143,8 @@ proptest! {
         prop_assert_eq!(p1.join_order(), p2.join_order());
         let (e1, e2) = (p1.estimate(), p2.estimate());
         prop_assert_eq!(e1, e2);
-        let (r1, r2) = (p1.execute().unwrap(), p2.execute().unwrap());
+        let serial = ExecOptions::serial();
+        let (r1, r2) = (execute(&p1, &serial).unwrap(), execute(&p2, &serial).unwrap());
         prop_assert_eq!(r1.tuples(), r2.tuples());
     }
 

@@ -8,7 +8,7 @@
 use eve_store::{from_bytes, to_bytes, vec_decode, vec_encode, Codec, Dec, Enc};
 use eve_sync::EvolutionOp;
 
-use crate::{Error, Result};
+use crate::{Error, Result, TenantStats};
 
 /// One client request: the session it belongs to plus the operation.
 /// Session 0 is the "no session yet" id used by
@@ -101,29 +101,9 @@ pub enum ResponseBody {
         /// Position in the deferred queue (0 = next to drain).
         position: u64,
     },
-    /// [`RequestBody::Stats`] answer.
-    Stats {
-        /// QC candidates spent since the last reset.
-        candidates_used: u64,
-        /// I/O blocks spent since the last reset.
-        io_used: u64,
-        /// Configured candidate budget.
-        candidate_budget: u64,
-        /// Configured I/O budget.
-        io_budget: u64,
-        /// Mutations waiting in the deferred queue.
-        queued: u64,
-        /// Relation extents with a materialized columnar image.
-        columnar_extents: u64,
-        /// Secondary-index lookups answered from an index.
-        index_hits: u64,
-        /// Distinct strings in the interning pool.
-        interned_symbols: u64,
-        /// Intra-query worker threads the tenant's reader pool may use.
-        exec_parallelism: u64,
-        /// Morsels dispatched by the parallel executor.
-        exec_morsels: u64,
-    },
+    /// [`RequestBody::Stats`] answer: the tenant's admission and
+    /// columnar-layer counters.
+    Stats(TenantStats),
     /// [`RequestBody::ResetBudget`] answer.
     BudgetReset {
         /// Deferred mutations drained and applied by the reset.
@@ -196,6 +176,37 @@ impl Response {
                 detail: err.to_string(),
             },
         }
+    }
+}
+
+/// Field order is the wire layout: ten little-endian `u64`s.
+impl Codec for TenantStats {
+    fn encode(&self, enc: &mut Enc) {
+        enc.u64(self.candidates_used);
+        enc.u64(self.io_used);
+        enc.u64(self.candidate_budget);
+        enc.u64(self.io_budget);
+        enc.u64(self.queued);
+        enc.u64(self.columnar_extents);
+        enc.u64(self.index_hits);
+        enc.u64(self.interned_symbols);
+        enc.u64(self.exec_parallelism);
+        enc.u64(self.exec_morsels);
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> eve_store::Result<TenantStats> {
+        Ok(TenantStats {
+            candidates_used: dec.u64()?,
+            io_used: dec.u64()?,
+            candidate_budget: dec.u64()?,
+            io_budget: dec.u64()?,
+            queued: dec.u64()?,
+            columnar_extents: dec.u64()?,
+            index_hits: dec.u64()?,
+            interned_symbols: dec.u64()?,
+            exec_parallelism: dec.u64()?,
+            exec_morsels: dec.u64()?,
+        })
     }
 }
 
@@ -317,29 +328,9 @@ impl Codec for ResponseBody {
                 enc.u8(4);
                 enc.u64(*position);
             }
-            ResponseBody::Stats {
-                candidates_used,
-                io_used,
-                candidate_budget,
-                io_budget,
-                queued,
-                columnar_extents,
-                index_hits,
-                interned_symbols,
-                exec_parallelism,
-                exec_morsels,
-            } => {
+            ResponseBody::Stats(stats) => {
                 enc.u8(5);
-                enc.u64(*candidates_used);
-                enc.u64(*io_used);
-                enc.u64(*candidate_budget);
-                enc.u64(*io_budget);
-                enc.u64(*queued);
-                enc.u64(*columnar_extents);
-                enc.u64(*index_hits);
-                enc.u64(*interned_symbols);
-                enc.u64(*exec_parallelism);
-                enc.u64(*exec_morsels);
+                stats.encode(enc);
             }
             ResponseBody::BudgetReset { drained } => {
                 enc.u8(6);
@@ -368,18 +359,7 @@ impl Codec for ResponseBody {
             4 => ResponseBody::Queued {
                 position: dec.u64()?,
             },
-            5 => ResponseBody::Stats {
-                candidates_used: dec.u64()?,
-                io_used: dec.u64()?,
-                candidate_budget: dec.u64()?,
-                io_budget: dec.u64()?,
-                queued: dec.u64()?,
-                columnar_extents: dec.u64()?,
-                index_hits: dec.u64()?,
-                interned_symbols: dec.u64()?,
-                exec_parallelism: dec.u64()?,
-                exec_morsels: dec.u64()?,
-            },
+            5 => ResponseBody::Stats(TenantStats::decode(dec)?),
             6 => ResponseBody::BudgetReset {
                 drained: dec.u64()?,
             },
@@ -492,4 +472,52 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// [`Error::Protocol`] on any malformed payload.
 pub fn decode_response(bytes: &[u8]) -> Result<Response> {
     from_bytes(bytes).map_err(|e| Error::protocol(e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `Stats` response layout is part of the wire contract: session,
+    /// tag 5, then the ten counters as little-endian `u64`s in declaration
+    /// order. Pinned as literal bytes so a refactor of the payload type
+    /// cannot move a field.
+    #[test]
+    fn stats_response_bytes_are_pinned() {
+        let resp = Response {
+            session: 7,
+            body: ResponseBody::Stats(TenantStats {
+                candidates_used: 1,
+                io_used: 2,
+                candidate_budget: 3,
+                io_budget: 4,
+                queued: 5,
+                columnar_extents: 6,
+                index_hits: 7,
+                interned_symbols: 8,
+                exec_parallelism: 9,
+                exec_morsels: 10,
+            }),
+        };
+        #[rustfmt::skip]
+        let expected: [u8; 89] = [
+            7, 0, 0, 0, 0, 0, 0, 0, // session
+            5,                      // tag: Stats
+            1, 0, 0, 0, 0, 0, 0, 0, // candidates_used
+            2, 0, 0, 0, 0, 0, 0, 0, // io_used
+            3, 0, 0, 0, 0, 0, 0, 0, // candidate_budget
+            4, 0, 0, 0, 0, 0, 0, 0, // io_budget
+            5, 0, 0, 0, 0, 0, 0, 0, // queued
+            6, 0, 0, 0, 0, 0, 0, 0, // columnar_extents
+            7, 0, 0, 0, 0, 0, 0, 0, // index_hits
+            8, 0, 0, 0, 0, 0, 0, 0, // interned_symbols
+            9, 0, 0, 0, 0, 0, 0, 0, // exec_parallelism
+            10, 0, 0, 0, 0, 0, 0, 0, // exec_morsels
+        ];
+        let bytes = encode_response(&resp);
+        assert_eq!(bytes, expected);
+        let back = decode_response(&bytes).unwrap();
+        assert_eq!(back.session, 7);
+        assert_eq!(encode_response(&back), expected);
+    }
 }

@@ -456,21 +456,7 @@ fn execute_job(tenant: &Tenant, body: RequestBody, registry: &Registry) -> Resul
             let text = tenant.query(&view)?;
             Ok(ResponseBody::Output { text })
         }
-        RequestBody::Stats => {
-            let s = tenant.stats();
-            Ok(ResponseBody::Stats {
-                candidates_used: s.candidates_used,
-                io_used: s.io_used,
-                candidate_budget: s.candidate_budget,
-                io_budget: s.io_budget,
-                queued: s.queued as u64,
-                columnar_extents: s.columnar_extents,
-                index_hits: s.index_hits,
-                interned_symbols: s.interned_symbols,
-                exec_parallelism: s.exec_parallelism,
-                exec_morsels: s.exec_morsels,
-            })
-        }
+        RequestBody::Stats => Ok(ResponseBody::Stats(tenant.stats())),
         RequestBody::Metrics => {
             // Process-global families + this tenant's per-instance engine
             // counters + the server's own request histograms, merged into

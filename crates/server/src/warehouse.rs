@@ -68,7 +68,7 @@ pub struct TenantStats {
     /// Configured I/O budget.
     pub io_budget: u64,
     /// Mutations waiting in the deferred queue.
-    pub queued: usize,
+    pub queued: u64,
     /// Relation extents with a materialized columnar image.
     pub columnar_extents: u64,
     /// Secondary-index lookups answered from an index.
@@ -156,7 +156,7 @@ impl Tenant {
             io_used: st.io_used,
             candidate_budget: self.budget.candidates,
             io_budget: self.budget.io,
-            queued: st.deferred.len(),
+            queued: st.deferred.len() as u64,
             columnar_extents: cl.columnar_built as u64,
             index_hits: cl.index.hits,
             interned_symbols: cl.intern.symbols,

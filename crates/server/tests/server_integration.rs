@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use eve_server::protocol::{RequestBody, ResponseBody};
 use eve_server::warehouse::{AdmissionPolicy, TenantBudget, Warehouse};
-use eve_server::{ErrorCode, Server, ServerConfig};
+use eve_server::{ErrorCode, Server, ServerConfig, TenantStats};
 use eve_system::Shell;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -186,9 +186,9 @@ fn admission_control_rejects_and_queues_over_the_wire() {
         }
         // Budget spent: stats say so.
         match c.request(RequestBody::Stats).unwrap() {
-            ResponseBody::Stats {
+            ResponseBody::Stats(TenantStats {
                 io_used, io_budget, ..
-            } => assert!(io_used >= io_budget, "{tenant}: {io_used}/{io_budget}"),
+            }) => assert!(io_used >= io_budget, "{tenant}: {io_used}/{io_budget}"),
             other => panic!("{other:?}"),
         }
         let over = RequestBody::Statement {
@@ -320,7 +320,7 @@ fn malformed_statements_come_back_as_typed_errors_not_dead_connections() {
     }
     // The connection (and session) survive the failed statement.
     match c.request(RequestBody::Stats).unwrap() {
-        ResponseBody::Stats { .. } => {}
+        ResponseBody::Stats(_) => {}
         other => panic!("{other:?}"),
     }
     match c

@@ -10,7 +10,7 @@ use eve_server::protocol::{
     RequestBody, Response, ResponseBody,
 };
 use eve_server::wire::{encode_frame, FrameReader, FRAME_HEADER, MAX_FRAME};
-use eve_server::Error;
+use eve_server::{Error, TenantStats};
 use eve_sync::EvolutionOp;
 
 fn cases(default: u32) -> u32 {
@@ -269,7 +269,7 @@ fn every_protocol_variant_roundtrips_through_the_wire() {
         },
         Response {
             session: 1,
-            body: ResponseBody::Stats {
+            body: ResponseBody::Stats(TenantStats {
                 candidates_used: 10,
                 io_used: 20,
                 candidate_budget: 100,
@@ -280,7 +280,7 @@ fn every_protocol_variant_roundtrips_through_the_wire() {
                 interned_symbols: 41,
                 exec_parallelism: 4,
                 exec_morsels: 97,
-            },
+            }),
         },
         Response {
             session: 1,

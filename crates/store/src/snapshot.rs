@@ -57,19 +57,24 @@ pub struct ViewSnapshot {
     pub extent: Relation,
 }
 
-/// How the engine explores the rewriting search space — a plain-data
-/// mirror of `eve_system::SearchMode` (which cannot live here without a
-/// dependency cycle).
+/// How the engine explores the rewriting search space when a capability
+/// change arrives (the streaming enumerator's policy, in plain data so it
+/// can sit in engine state and persist in snapshots). Re-exported as
+/// `eve_system::SearchMode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchModeState {
-    /// Materialize every legal rewriting, then rank.
+    /// Materialize every legal rewriting, then rank (the paper's pipeline;
+    /// memoized through the engine's rewrite cache).
     #[default]
     Exhaustive,
-    /// QC-bounded best-first search.
+    /// Branch-and-bound best-first search under the QC bounds
+    /// (`eve_qc::search::QcGuide` with an auto normalization scale): the
+    /// engine's candidate set arrives in ascending QC badness and is capped
+    /// at `sync_options.max_rewritings`.
     BestFirst,
     /// The §7.6 heuristic beam of the given width.
     Beam {
-        /// Beam width.
+        /// Beam width (candidates generated per binding level).
         width: usize,
     },
 }

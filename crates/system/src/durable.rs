@@ -56,11 +56,11 @@ use std::path::{Path, PathBuf};
 use eve_misd::{Mkb, SiteId};
 use eve_store::{
     DeltaSnapshot, EngineConfig, EngineSnapshot, EvolutionStore, GroupCommitLog, GroupCommitPolicy,
-    RecoveredLog, SearchModeState, SiteSnapshot, SnapshotMeta, StoreStats, ViewSnapshot,
+    RecoveredLog, SiteSnapshot, SnapshotMeta, StoreStats, ViewSnapshot,
 };
 use eve_sync::EvolutionOp;
 
-use crate::engine::{Applied, BatchOutcome, EveEngine, MaterializedView, SearchMode};
+use crate::engine::{Applied, BatchOutcome, EveEngine, MaterializedView};
 use crate::error::{Error, Result};
 use crate::site::SimSite;
 use crate::Command;
@@ -110,13 +110,11 @@ pub struct DurableEngine {
     dir: PathBuf,
     /// Write a snapshot automatically after every `k` batches (`None`
     /// disables automatic checkpoints; explicit ones always work).
-    pub snapshot_every: Option<u64>,
-    /// Automatic checkpoints write incremental **delta** snapshots (cost
+    /// Automatic checkpoints are incremental **delta** snapshots (cost
     /// proportional to state changed since the last anchor, not total
     /// warehouse state), with a periodic full image so recovery chains
-    /// stay short. `false` makes every automatic checkpoint a full image.
-    /// Explicit [`DurableEngine::checkpoint`] is always full.
-    pub delta_checkpoints: bool,
+    /// stay short. Explicit [`DurableEngine::checkpoint`] is always full.
+    pub snapshot_every: Option<u64>,
     batches_since_snapshot: u64,
     /// Seq and materialized state of the newest snapshot written or
     /// recovered through this handle — the base the next delta diffs
@@ -178,7 +176,6 @@ impl DurableEngine {
             log: GroupCommitLog::new(store, GroupCommitPolicy::default()),
             dir,
             snapshot_every: None,
-            delta_checkpoints: true,
             batches_since_snapshot: 0,
             last_snapshot,
             deltas_since_full: 0,
@@ -467,11 +464,7 @@ impl DurableEngine {
             self.batches_since_snapshot += 1;
             if let Some(k) = self.snapshot_every {
                 if self.batches_since_snapshot >= k.max(1) {
-                    if self.delta_checkpoints {
-                        self.checkpoint_delta()?;
-                    } else {
-                        self.checkpoint()?;
-                    }
+                    self.checkpoint_delta()?;
                 }
             }
         }
@@ -508,26 +501,6 @@ impl DurableEngine {
 // ---------------------------------------------------------------------
 // Engine <-> snapshot conversion
 // ---------------------------------------------------------------------
-
-impl From<SearchMode> for SearchModeState {
-    fn from(mode: SearchMode) -> SearchModeState {
-        match mode {
-            SearchMode::Exhaustive => SearchModeState::Exhaustive,
-            SearchMode::BestFirst => SearchModeState::BestFirst,
-            SearchMode::Beam { width } => SearchModeState::Beam { width },
-        }
-    }
-}
-
-impl From<SearchModeState> for SearchMode {
-    fn from(mode: SearchModeState) -> SearchMode {
-        match mode {
-            SearchModeState::Exhaustive => SearchMode::Exhaustive,
-            SearchModeState::BestFirst => SearchMode::BestFirst,
-            SearchModeState::Beam { width } => SearchMode::Beam { width },
-        }
-    }
-}
 
 impl EveEngine {
     /// Captures the engine's complete durable state — MKB (with its
@@ -570,7 +543,7 @@ impl EveEngine {
                 qc_params: self.qc_params.clone(),
                 workload: self.workload,
                 strategy: self.strategy,
-                search: self.search.into(),
+                search: self.search,
                 index_hints: self.index_hints.clone(),
             },
         }
@@ -616,7 +589,7 @@ impl EveEngine {
             qc_params: snapshot.config.qc_params.clone(),
             workload: snapshot.config.workload,
             strategy: snapshot.config.strategy,
-            search: snapshot.config.search.into(),
+            search: snapshot.config.search,
             // Runtime tuning knob, deliberately not part of snapshots:
             // recovery always starts serial and byte-identical.
             exec_options: eve_relational::ExecOptions::default(),
@@ -912,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_checkpoints_recover_byte_identically() {
+    fn automatic_delta_snapshots_recover_byte_identically() {
         let dir = temp_dir("delta");
         let mut d = build(&dir);
         d.snapshot_every = Some(1); // a delta checkpoint after every batch

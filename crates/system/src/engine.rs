@@ -88,25 +88,8 @@ pub struct EvolutionReport {
 }
 
 /// How the engine explores the rewriting search space when a capability
-/// change arrives (the streaming enumerator's policy, re-exposed without
-/// lifetimes so it can sit in engine state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchMode {
-    /// Materialize every legal rewriting, then rank (the paper's pipeline;
-    /// memoized through the [`RewriteCache`]).
-    #[default]
-    Exhaustive,
-    /// Branch-and-bound best-first search under the QC bounds
-    /// (`eve_qc::search::QcGuide` with an auto normalization scale): the
-    /// engine's candidate set arrives in ascending QC badness and is capped
-    /// at `sync_options.max_rewritings`.
-    BestFirst,
-    /// The §7.6 heuristic beam of the given width.
-    Beam {
-        /// Beam width (candidates generated per binding level).
-        width: usize,
-    },
-}
+/// change arrives. Kept in its persisted form, like [`IndexHint`].
+pub use eve_store::SearchModeState as SearchMode;
 
 /// One declared secondary index: relation, column and physical shape.
 /// Declarations are durable engine state (they survive snapshots and log
@@ -329,7 +312,7 @@ impl EveEngine {
     /// Validation/state/relational failures.
     pub fn evaluate(&self, view: &ViewDef) -> Result<Relation> {
         let extents = self.extents_for(view)?;
-        crate::query::evaluate_view_with_options(
+        crate::query::evaluate_view(
             view,
             &extents,
             &self.declared_stats(view),

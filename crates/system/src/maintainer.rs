@@ -294,27 +294,14 @@ pub fn maintain_view(
 /// Fully recomputes a view by shipping every referenced extent to the
 /// warehouse — the paper's "one-time view recomputation" baseline the
 /// incremental algorithm is compared against (\[ZGMHW95\]-style ablation).
+/// The warehouse-side re-evaluation runs morsel-parallel when `options`
+/// ask for it; site I/O accounting is identical either way (extents are
+/// shipped whole, and the scheduler never touches site counters).
 ///
 /// # Errors
 ///
 /// State/relational failures.
 pub fn recompute_view(
-    view: &ViewDef,
-    sites: &mut BTreeMap<u32, SimSite>,
-    mkb: &Mkb,
-) -> Result<(Relation, MaintenanceTrace)> {
-    recompute_view_with(view, sites, mkb, &ExecOptions::default())
-}
-
-/// [`recompute_view`] under explicit [`ExecOptions`]: the warehouse-side
-/// re-evaluation runs morsel-parallel when asked (site I/O accounting is
-/// identical — extents are shipped whole either way, and the scheduler
-/// never touches site counters).
-///
-/// # Errors
-///
-/// State/relational failures.
-pub fn recompute_view_with(
     view: &ViewDef,
     sites: &mut BTreeMap<u32, SimSite>,
     mkb: &Mkb,
@@ -340,8 +327,7 @@ pub fn recompute_view_with(
         }
         extents.entry(item.relation.clone()).or_insert(rel);
     }
-    let result =
-        crate::query::evaluate_view_with_options(&view, &extents, &BTreeMap::new(), options)?;
+    let result = crate::query::evaluate_view(&view, &extents, &BTreeMap::new(), options)?;
     trace.view_inserts = result.cardinality();
     Ok((result, trace))
 }
@@ -423,7 +409,9 @@ mod tests {
             "FlightRes".to_owned(),
             sites[&2].relation("FlightRes").unwrap().clone(),
         );
-        let extent = crate::query::evaluate_view(&view, &extents).unwrap();
+        let extent =
+            crate::query::evaluate_view(&view, &extents, &BTreeMap::new(), &ExecOptions::serial())
+                .unwrap();
         (mkb, sites, view, extent)
     }
 
@@ -474,7 +462,8 @@ mod tests {
                 .unwrap();
             maintain_view(&view, &mut extent, u, &mut sites, &mkb).unwrap();
         }
-        let (recomputed, _) = recompute_view(&view, &mut sites, &mkb).unwrap();
+        let (recomputed, _) =
+            recompute_view(&view, &mut sites, &mkb, &ExecOptions::serial()).unwrap();
         let mut a = extent.tuples().to_vec();
         let mut b = recomputed.tuples().to_vec();
         a.sort();
@@ -539,7 +528,7 @@ mod tests {
         for s in sites.values_mut() {
             s.reset_io();
         }
-        let (rel, trace) = recompute_view(&view, &mut sites, &mkb).unwrap();
+        let (rel, trace) = recompute_view(&view, &mut sites, &mkb, &ExecOptions::serial()).unwrap();
         assert_eq!(rel.cardinality(), 2);
         assert_eq!(trace.messages, 4); // two sites × (query + answer)
                                        // 3 Customer rows × 40 bytes + 3 FlightRes rows × 40 bytes.

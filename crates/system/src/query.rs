@@ -10,9 +10,11 @@
 //!
 //! [`evaluate_view_naive`] keeps the historical left-to-right fold as the
 //! reference implementation: FROM relations joined in declaration order
-//! with WHERE clauses applied as early as they become resolvable. The
+//! with WHERE clauses applied as early as they become resolvable, each join
+//! a row-at-a-time projected-`Tuple` hash join ([`algebra::join`]). The
 //! differential property suites hold the planner to `planned ≡ naive` (as
-//! bags — join reordering may permute physical row order).
+//! bags — join reordering may permute physical row order), and the
+//! `columns` experiment times it as the row-at-a-time counter-arm.
 //!
 //! The result is a *bag* (duplicates preserved): materialized views keep all
 //! derivations so that incremental deletions remove the right multiplicity;
@@ -86,51 +88,24 @@ pub fn plan_view(
 }
 
 /// Evaluates a view over base extents keyed by *relation name*, through the
-/// physical planner (measured-statistics mode).
+/// physical planner. Declared [`RelationStats`] (keyed by relation name)
+/// steer the planner; relations without an entry fall back to measured
+/// statistics. With `options.parallelism > 1` the operators run
+/// morsel-parallel (unless the planner's cost model vetoes it for a tiny
+/// input); the output is byte-identical to serial execution either way.
 ///
 /// # Errors
 ///
 /// [`Error::State`] for missing extents, planning/validation failures for
 /// clauses that never become resolvable, relational failures otherwise.
-pub fn evaluate_view(view: &ViewDef, extents: &BTreeMap<String, Relation>) -> Result<Relation> {
-    evaluate_view_with_stats(view, extents, &BTreeMap::new())
-}
-
-/// [`evaluate_view`] with declared [`RelationStats`] (keyed by relation
-/// name) steering the planner; relations without an entry fall back to
-/// measured statistics.
-///
-/// # Errors
-///
-/// As [`evaluate_view`].
-pub fn evaluate_view_with_stats(
-    view: &ViewDef,
-    extents: &BTreeMap<String, Relation>,
-    stats: &BTreeMap<String, RelationStats>,
-) -> Result<Relation> {
-    evaluate_view_with_options(view, extents, stats, &ExecOptions::default())
-}
-
-/// [`evaluate_view_with_stats`] under explicit [`ExecOptions`]: with
-/// `parallelism > 1` the columnar operators run morsel-parallel (unless
-/// the planner's cost model vetoes it for a tiny input). Output is
-/// byte-identical to serial execution regardless of the options.
-///
-/// # Errors
-///
-/// As [`evaluate_view`].
-pub fn evaluate_view_with_options(
+pub fn evaluate_view(
     view: &ViewDef,
     extents: &BTreeMap<String, Relation>,
     stats: &BTreeMap<String, RelationStats>,
     options: &ExecOptions,
 ) -> Result<Relation> {
     let plan = plan_view(view, extents, stats)?;
-    Ok(eve_relational::exec::execute_with_options(
-        &plan,
-        eve_relational::ExecMode::Columnar,
-        options,
-    )?)
+    Ok(eve_relational::exec::execute(&plan, options)?)
 }
 
 /// Whether every column of a clause resolves in `schema`.
@@ -220,6 +195,10 @@ mod tests {
     use eve_esql::parse_view;
     use eve_relational::{tup, DataType, Tuple, Value};
 
+    fn run(view: &ViewDef, extents: &BTreeMap<String, Relation>) -> Result<Relation> {
+        evaluate_view(view, extents, &BTreeMap::new(), &ExecOptions::serial())
+    }
+
     fn extents() -> BTreeMap<String, Relation> {
         let customer = Relation::with_tuples(
             "Customer",
@@ -257,7 +236,7 @@ mod tests {
              WHERE (C.Name = F.PName) AND (F.Dest = 'Asia')",
         )
         .unwrap();
-        let out = evaluate_view(&view, &extents()).unwrap();
+        let out = run(&view, &extents()).unwrap();
         // Bag semantics: ann appears twice (two Asia reservations).
         assert_eq!(out.cardinality(), 3);
         assert_eq!(out.distinct_cardinality(), 2);
@@ -272,14 +251,14 @@ mod tests {
         let view =
             parse_view("CREATE VIEW V AS SELECT F.PName FROM FlightRes F WHERE F.Dest = 'Asia'")
                 .unwrap();
-        let out = evaluate_view(&view, &extents()).unwrap();
+        let out = run(&view, &extents()).unwrap();
         assert_eq!(out.cardinality(), 3);
     }
 
     #[test]
     fn aliases_rename_output_columns() {
         let view = parse_view("CREATE VIEW V AS SELECT C.Name AS Who FROM Customer C").unwrap();
-        let out = evaluate_view(&view, &extents()).unwrap();
+        let out = run(&view, &extents()).unwrap();
         assert_eq!(out.schema().column(0).column, ColumnRef::bare("Who"));
     }
 
@@ -287,7 +266,7 @@ mod tests {
     fn explicit_column_list_renames() {
         let view =
             parse_view("CREATE VIEW V (X, Y) AS SELECT C.Name, C.Address FROM Customer C").unwrap();
-        let out = evaluate_view(&view, &extents()).unwrap();
+        let out = run(&view, &extents()).unwrap();
         assert_eq!(out.schema().column(0).column, ColumnRef::bare("X"));
         assert_eq!(out.schema().column(1).column, ColumnRef::bare("Y"));
     }
@@ -295,7 +274,7 @@ mod tests {
     #[test]
     fn missing_extent_reported() {
         let view = parse_view("CREATE VIEW V AS SELECT Z.A FROM Z").unwrap();
-        let e = evaluate_view(&view, &extents()).unwrap_err();
+        let e = run(&view, &extents()).unwrap_err();
         assert!(e.to_string().contains("no extent"));
     }
 
@@ -318,7 +297,7 @@ mod tests {
              WHERE A.K = B.K AND B.K = C.K",
         )
         .unwrap();
-        let out = evaluate_view(&view, &ext).unwrap();
+        let out = run(&view, &ext).unwrap();
         assert_eq!(out.tuples(), &[tup![1, 11, 12]]);
     }
 
@@ -338,7 +317,7 @@ mod tests {
             "CREATE VIEW V AS SELECT X.Id, Y.Id AS BossId FROM E X, E Y WHERE X.Boss = Y.Id",
         )
         .unwrap();
-        let out = evaluate_view(&view, &ext).unwrap();
+        let out = run(&view, &ext).unwrap();
         assert_eq!(out.tuples(), &[tup![1, 2]]);
     }
 
@@ -349,14 +328,14 @@ mod tests {
         // validation error if it never resolves.
         let view =
             parse_view("CREATE VIEW V AS SELECT C.Name FROM Customer C WHERE C.Ghost = 1").unwrap();
-        assert!(evaluate_view(&view, &extents()).is_err());
+        assert!(run(&view, &extents()).is_err());
     }
 
     #[test]
     fn literal_types_checked() {
         let view =
             parse_view("CREATE VIEW V AS SELECT C.Name FROM Customer C WHERE C.Name = 42").unwrap();
-        let e = evaluate_view(&view, &extents()).unwrap_err();
+        let e = run(&view, &extents()).unwrap_err();
         assert!(matches!(e, Error::Relational(_)));
     }
 

@@ -485,13 +485,16 @@ proptest! {
         ),
         literals in prop::collection::vec((0usize..3, -4i64..5), 0..2),
     ) {
-        use eve::system::query::{evaluate_view, evaluate_view_naive, evaluate_view_with_stats};
+        use eve::relational::ExecOptions;
+        use eve::system::query::{evaluate_view, evaluate_view_naive};
 
         let extents = exec_extents(&rows);
         let view = parse_view(&exec_view_sql(n, &literals)).unwrap();
 
         let naive = evaluate_view_naive(&view, &extents).unwrap();
-        let planned = evaluate_view(&view, &extents).unwrap();
+        let serial = ExecOptions::serial();
+        let no_stats = std::collections::BTreeMap::new();
+        let planned = evaluate_view(&view, &extents, &no_stats, &serial).unwrap();
         prop_assert_eq!(planned.name(), naive.name());
         prop_assert_eq!(planned.schema(), naive.schema());
         let mut a = naive.tuples().to_vec();
@@ -509,7 +512,7 @@ proptest! {
                 (name.clone(), s)
             })
             .collect();
-        let declared = evaluate_view_with_stats(&view, &extents, &stats).unwrap();
+        let declared = evaluate_view(&view, &extents, &stats, &serial).unwrap();
         let mut c = declared.tuples().to_vec();
         c.sort();
         prop_assert_eq!(&a, &c, "declared-stats plan diverged for {}", view);
